@@ -30,14 +30,14 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_compiled.py --smoke    # CI
 
 Writes ``BENCH_compiled.json`` (repo root) and
-``results/bench_compiled.txt``.  Exits non-zero on parity failure or a
+``results/bench_compiled.txt``; ``--smoke`` writes their git-ignored
+``.smoke`` variants instead.  Exits non-zero on parity failure or a
 missed gate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -47,6 +47,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.batched import BatchEngine, IrrBatch, irr_getrf  # noqa: E402
 from repro.batched.program import compile_workload  # noqa: E402
 from repro.device import A100, Device  # noqa: E402
@@ -244,15 +245,13 @@ def main() -> int:
     text = "\n".join(lines)
     print(text)
 
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_compiled.txt").write_text(text + "\n")
-    (ROOT / "BENCH_compiled.json").write_text(json.dumps({
+    write_artifacts("compiled", args.smoke, text, {
         "fig10": fig10,
         "serve": serve,
         "gates": {"replay": replay_gate, "serve": serve_gate},
         "parity": "bitwise",
         "smoke": bool(args.smoke),
-    }, indent=2) + "\n")
+    })
 
     ok = True
     if fig10["speedup"] < replay_gate:

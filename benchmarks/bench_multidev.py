@@ -26,14 +26,14 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_multidev.py --smoke   # CI smoke
 
 Writes ``BENCH_multidev.json`` (repo root) and
-``results/bench_multidev.txt``.  Exits non-zero if parity fails or any
+``results/bench_multidev.txt``; ``--smoke`` writes their git-ignored
+``.smoke`` variants instead.  Exits non-zero if parity fails or any
 gate is missed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -43,6 +43,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.device import A100, Node  # noqa: E402
 from repro.serve import CoalescingPolicy, DevicePool  # noqa: E402
 
@@ -176,12 +177,7 @@ def main() -> int:
     text = "\n".join(lines)
     print(text)
 
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_multidev.txt").write_text(text + "\n")
-    bench_path = ROOT / "BENCH_multidev.json"
-    merged = json.loads(bench_path.read_text()) \
-        if bench_path.exists() else {}
-    merged.update({
+    write_artifacts("multidev", args.smoke, text, {
         "workload": {"requests": n, "size_lo": lo, "size_hi": hi,
                      "dtype": "float64"},
         "scaling": rows,
@@ -190,8 +186,7 @@ def main() -> int:
         "gate": SPEEDUP_GATE,
         "parity": "bitwise",
         "smoke": bool(args.smoke),
-    })
-    bench_path.write_text(json.dumps(merged, indent=2) + "\n")
+    }, merge=True)
 
     if not gate_ok:
         print("FAIL: multi-device gates missed", file=sys.stderr)

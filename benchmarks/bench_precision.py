@@ -34,14 +34,14 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_precision.py --smoke    # CI smoke
 
 Writes ``BENCH_precision.json`` (repo root) and
-``results/bench_precision.txt``.  Exits non-zero if any accuracy check,
+``results/bench_precision.txt``; ``--smoke`` writes their git-ignored
+``.smoke`` variants instead.  Exits non-zero if any accuracy check,
 the fallback check or a speedup gate fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -51,6 +51,7 @@ import scipy.sparse as sp
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.device import A100, Device  # noqa: E402
 from repro.serve import CoalescingPolicy, SolverService  # noqa: E402
 from repro.sparse import SparseLU  # noqa: E402
@@ -249,7 +250,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
                     help="small CI workload")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_precision.json"))
+    ap.add_argument("--out", default=None,
+                    help="JSON path (default BENCH_precision.json, or "
+                         "BENCH_precision.smoke.json with --smoke)")
     args = ap.parse_args(argv)
 
     if args.smoke:
@@ -263,11 +266,9 @@ def main(argv=None) -> int:
     payload = {"warm": warm, "serve": serve, "fallback": fb,
                "warm_target": WARM_TARGET, "serve_target": SERVE_TARGET,
                "refine_target": REFINE_TARGET}
-    pathlib.Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     text = report(warm, serve, fb)
     print(text)
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_precision.txt").write_text(text + "\n")
+    write_artifacts("precision", args.smoke, text, payload, out=args.out)
 
     rc = 0
     if not (warm["accuracy_ok"] and serve["accuracy_ok"]):

@@ -39,13 +39,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sdc.py            # full run
     PYTHONPATH=src python benchmarks/bench_sdc.py --smoke    # CI smoke
 
-Writes ``BENCH_sdc.json`` (repo root) and ``results/bench_sdc.txt``.
+Writes ``BENCH_sdc.json`` (repo root) and ``results/bench_sdc.txt``;
+``--smoke`` writes their git-ignored ``.smoke`` variants instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -55,6 +55,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.device import A100, PERSISTENT, Device, FaultPlan, \
     FaultRule  # noqa: E402
 from repro.serve import CircuitBreaker, CoalescingPolicy, \
@@ -234,9 +235,7 @@ def main() -> int:
     text = "\n".join(lines)
     print(text)
 
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_sdc.txt").write_text(text + "\n")
-    (ROOT / "BENCH_sdc.json").write_text(json.dumps({
+    write_artifacts("sdc", args.smoke, text, {
         "workload": {"order": ORDER, "warm": warm, "storm": storm,
                      "recover": recover, "seed": args.seed},
         "no_breaker": base,
@@ -245,7 +244,7 @@ def main() -> int:
         "smoke": bool(args.smoke),
         "gates_met": not failures,
         "failures": failures,
-    }, indent=2) + "\n")
+    })
 
     return 1 if failures else 0
 

@@ -38,13 +38,13 @@ Usage::
 
 Writes ``BENCH_serve.json`` (repo root) and ``results/bench_serve.txt``
 (``results/bench_serve_slo.txt`` and an ``slo`` JSON section for
-``--slo``).  Exits non-zero if parity fails or any gate is missed.
+``--slo``); ``--smoke`` writes their git-ignored ``.smoke`` variants
+instead.  Exits non-zero if parity fails or any gate is missed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -54,6 +54,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.device import A100, Device  # noqa: E402
 from repro.serve import AutotuneConfig, CoalescingPolicy, \
     OnlineAutotuner, SolverService  # noqa: E402
@@ -213,14 +214,11 @@ def main() -> int:
     if args.slo:
         text, payload, rc = run_slo(args.smoke, args.seed)
         print(text)
-        (ROOT / "results").mkdir(exist_ok=True)
-        (ROOT / "results" / "bench_serve_slo.txt").write_text(text + "\n")
-        bench_path = ROOT / "BENCH_serve.json"
-        merged = json.loads(bench_path.read_text()) \
-            if bench_path.exists() else {}
-        merged["slo"] = {"seed": args.seed, "smoke": bool(args.smoke),
-                         "mixes": payload}
-        bench_path.write_text(json.dumps(merged, indent=2) + "\n")
+        write_artifacts("serve", args.smoke, text,
+                        {"slo": {"seed": args.seed,
+                                 "smoke": bool(args.smoke),
+                                 "mixes": payload}},
+                        stem="bench_serve_slo", merge=True)
         return rc
 
     n = args.requests or (60 if args.smoke else 500)
@@ -263,12 +261,7 @@ def main() -> int:
     text = "\n".join(lines)
     print(text)
 
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_serve.txt").write_text(text + "\n")
-    bench_path = ROOT / "BENCH_serve.json"
-    merged = json.loads(bench_path.read_text()) \
-        if bench_path.exists() else {}
-    merged.update({
+    write_artifacts("serve", args.smoke, text, {
         "workload": {"requests": n, "size_lo": lo, "size_hi": hi,
                      "dtype": "float64"},
         "solo": {"sim_seconds": sim_s, "throughput": thr_s,
@@ -287,8 +280,7 @@ def main() -> int:
         "gate": gate,
         "parity": "bitwise",
         "smoke": bool(args.smoke),
-    })
-    bench_path.write_text(json.dumps(merged, indent=2) + "\n")
+    }, merge=True)
 
     if speedup < gate:
         print(f"FAIL: speedup {speedup:.2f}x below gate {gate:.1f}x",

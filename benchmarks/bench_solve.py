@@ -24,8 +24,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_solve.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_solve.py --smoke    # CI smoke
 
-Writes ``BENCH_solve.json`` (repo root) and ``results/bench_solve.txt``.
-Exits non-zero if parity fails, if the warm path fails the minimum
+Writes ``BENCH_solve.json`` (repo root) and ``results/bench_solve.txt``;
+``--smoke`` writes their git-ignored ``.smoke`` variants instead.  Exits non-zero if parity fails, if the warm path fails the minimum
 speedup over naive on any case, or (full mode) if the headline —
 warm-cache repeated single-RHS solves — misses the 3x target.
 """
@@ -33,7 +33,6 @@ warm-cache repeated single-RHS solves — misses the 3x target.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -43,6 +42,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.device import A100, Device  # noqa: E402
 from repro.sparse.numeric.cpu_factor import multifrontal_factor_cpu  # noqa: E402
 from repro.sparse.numeric.gpu_solve import multifrontal_solve_gpu  # noqa: E402
@@ -163,7 +163,9 @@ def main(argv=None) -> int:
                     help="small CI workload: mesh_n=6, nrhs 1 and 8")
     ap.add_argument("--reps", type=int, default=None,
                     help="timing rounds per case (default 3; smoke 1)")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_solve.json"))
+    ap.add_argument("--out", default=None,
+                    help="JSON path (default BENCH_solve.json, or "
+                         "BENCH_solve.smoke.json with --smoke)")
     args = ap.parse_args(argv)
     if args.reps is not None and args.reps < 1:
         ap.error("--reps must be >= 1")
@@ -183,12 +185,10 @@ def main(argv=None) -> int:
                "warm_zero_reuploads": no_reuploads,
                "headline": headline, "target_speedup": TARGET_SPEEDUP,
                "min_speedup": MIN_SPEEDUP}
-    pathlib.Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     text = report(rows)
     print()
     print(text)
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_solve.txt").write_text(text + "\n")
+    write_artifacts("solve", args.smoke, text, payload, out=args.out)
 
     if not ok:
         print("FAIL: paths disagree (bitwise solutions or cost records)")

@@ -35,7 +35,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_wallclock.py --repeat 10
 
 Writes ``BENCH_wallclock.json`` (repo root) and
-``results/bench_wallclock.txt``.  Exits non-zero if the bucketed engine
+``results/bench_wallclock.txt``; ``--smoke`` writes their git-ignored
+``.smoke`` variants instead.  Exits non-zero if the bucketed engine
 is slower than the naive loop on any Fig 10 round, or (full mode) if the
 headline 500-matrix mixed-size batch misses the 3x target.  The
 ``--repeat`` mode gates only on parity.
@@ -44,7 +45,6 @@ headline 500-matrix mixed-size batch misses the 3x target.  The
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -54,6 +54,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from _artifacts import write_artifacts  # noqa: E402
 from repro.batched import BatchEngine, IrrBatch, irr_getrf  # noqa: E402
 from repro.batched.program import compile_workload  # noqa: E402
 from repro.device import A100, Device  # noqa: E402
@@ -267,7 +268,9 @@ def main(argv=None) -> int:
                          "N consecutive fresh-valued iterations per "
                          "engine (adds a compiled replay column; Fig 10 "
                          "sweep only)")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_wallclock.json"))
+    ap.add_argument("--out", default=None,
+                    help="JSON path (default BENCH_wallclock.json, or "
+                         "BENCH_wallclock.smoke.json with --smoke)")
     args = ap.parse_args(argv)
     if args.reps is not None and args.reps < 1:
         ap.error("--reps must be >= 1")
@@ -286,13 +289,11 @@ def main(argv=None) -> int:
         ok = all(r["bitwise_identical"] for r in rows)
         payload = {"workloads": rows, "parity_ok": ok,
                    "mode": "steady_state", "repeat": args.repeat}
-        pathlib.Path(args.out).write_text(json.dumps(payload, indent=2)
-                                          + "\n")
         text = report(rows)
         print()
         print(text)
-        (ROOT / "results").mkdir(exist_ok=True)
-        (ROOT / "results" / "bench_wallclock.txt").write_text(text + "\n")
+        write_artifacts("wallclock", args.smoke, text, payload,
+                        out=args.out)
         if not ok:
             print("FAIL: compiled replay lost bitwise parity")
             return 1
@@ -316,12 +317,10 @@ def main(argv=None) -> int:
 
     payload = {"workloads": rows, "parity_ok": ok,
                "headline": headline, "target_speedup": 3.0}
-    pathlib.Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     text = report(rows)
     print()
     print(text)
-    (ROOT / "results").mkdir(exist_ok=True)
-    (ROOT / "results" / "bench_wallclock.txt").write_text(text + "\n")
+    write_artifacts("wallclock", args.smoke, text, payload, out=args.out)
 
     if not ok:
         print("FAIL: engines disagree (bitwise or cost records)")

@@ -162,20 +162,17 @@ def resolve_engine(engine) -> "BatchEngine | None":
     """Normalize an ``engine=`` argument to a :class:`BatchEngine` or None.
 
     ``None`` / ``"naive"`` → None (per-matrix reference path);
-    ``"bucketed"`` / ``"compiled"`` → a fresh engine in that mode; a
-    :class:`BatchEngine` instance is passed through (or mapped to None
-    when its mode is ``"naive"``), so drivers can share one plan cache
-    across many kernel calls.  A ``"compiled"`` engine executes kernels
-    exactly like a bucketed one — the mode marks it as eligible for
-    ahead-of-time :mod:`repro.batched.program` compilation by drivers
-    that replay recurring workloads.
+    ``"bucketed"`` → a fresh bucketed engine; a :class:`BatchEngine`
+    instance is passed through (or mapped to None when its mode is
+    ``"naive"``), so drivers can share one plan cache across many
+    kernel calls.
     """
     if engine is None or engine == "naive":
         return None
     if isinstance(engine, BatchEngine):
         return engine if engine.bucketed else None
-    if engine in ("bucketed", "compiled"):
-        return BatchEngine(engine)
+    if engine == "bucketed":
+        return BatchEngine()
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -218,7 +215,7 @@ class BatchEngine:
                  min_bucket: int = MIN_BUCKET,
                  pad_bytes_limit: int = PAD_BYTES_LIMIT,
                  cache: PlanCache | None = None) -> None:
-        if mode not in ("bucketed", "naive", "compiled"):
+        if mode not in ("bucketed", "naive"):
             raise ValueError(f"unknown engine mode {mode!r}")
         self.mode = mode
         self.min_bucket = int(min_bucket)
@@ -253,9 +250,7 @@ class BatchEngine:
 
     @property
     def bucketed(self) -> bool:
-        # "compiled" engines execute single calls exactly like bucketed
-        # ones; the mode only opts drivers into program compilation.
-        return self.mode != "naive"
+        return self.mode == "bucketed"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"BatchEngine(mode={self.mode!r}, plans={len(self.cache)}, "

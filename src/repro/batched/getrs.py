@@ -20,9 +20,34 @@ from ..errors import FactorizationError
 from .engine import resolve_engine
 from .interface import IrrBatch
 from .panel import PanelPivots
-from .trsm import irr_trsm
+from .trsm import TRSM_BASE_NB, irr_trsm
 
 __all__ = ["irr_getrs"]
+
+
+class _PivotView:
+    """The pivot surface :func:`irr_getrs` reads (``ipiv`` + ``info``),
+    for factors whose pivots do not come from one :class:`PanelPivots`:
+    a sub-batch of a factorization, or handles rehydrated from host."""
+
+    def __init__(self, ipiv: list, info: np.ndarray):
+        self.ipiv = ipiv
+        self.info = info
+
+
+def _order_class_groups(orders) -> list[list[int]]:
+    """Split solve members into TRSM order classes, ascending.
+
+    ``orders`` yields ``(member index, order)``.  Every order at or
+    below ``TRSM_BASE_NB`` hits the single base-case kernel and shares
+    class 0; larger orders get their own recursion tree, so each is its
+    own class.  Solving each class as one sub-batch is bitwise safe.
+    """
+    by_class: dict[int, list[int]] = {}
+    for i, order in orders:
+        by_class.setdefault(order if order > TRSM_BASE_NB else 0,
+                            []).append(i)
+    return [by_class[c] for c in sorted(by_class)]
 
 
 def irr_getrs(device: Device, factored: IrrBatch, pivots: PanelPivots,

@@ -8,14 +8,15 @@ that work is a pure function of the workload's shapes — never of the
 payload values — so it can be done **once**, ahead of time.
 
 :func:`compile_workload` turns a traffic signature (a multiset of shapes
-plus an op: ``getrf``, ``getrs``, ``trsm``, ``gemm`` or a
-``factor_solve`` pipeline) into a :class:`WorkloadProgram`:
+plus an op: ``getrf``, or the ``factor_solve`` pipeline the serving
+layer dispatches) into a :class:`WorkloadProgram`:
 
-* **Record once** — the op's normal driver (``irr_getrf`` & friends,
-  running on a bucketed :class:`~repro.batched.engine.BatchEngine`) is
-  executed on a synthetic payload of the compiled shapes while the
-  device's ``launch`` entry point is temporarily wrapped by a recorder.
-  Every launch closure the driver issues is captured, in order, into a
+* **Record once** — the op's normal drivers (``irr_getrf``, then
+  ``irr_getrs``, running on a bucketed
+  :class:`~repro.batched.engine.BatchEngine`) are executed on a
+  synthetic payload of the compiled shapes while the device's
+  ``launch`` entry point is temporarily wrapped by a recorder.  Every
+  launch closure the drivers issue is captured, in order, into a
   fixed step list.  This is sound because the drivers' launch *sequences*
   depend only on dimensions; all value-dependent behaviour (pivot
   selection, breakdown handling, TRSM fallbacks) lives *inside* the
@@ -36,12 +37,12 @@ plus an op: ``getrf``, ``getrs``, ``trsm``, ``gemm`` or a
   bitwise identical factors, pivots, breakdown diagnostics and
   ``KernelCost`` to the bucketed engine's interleaved panel bucket,
   without the per-run copy into scratch.
-* **Fuse adjacent launches** — runs of consecutive recorded launches
-  (panel→LASWP→TRSM→GEMM chains, factor→solve) are merged into single
-  launch records executing the captured closures back to back and
-  summing their costs (:func:`fuse_costs`): flops/bytes/blocks totals
-  are preserved exactly; only the launch *count* (and with it the
-  per-launch host overhead) drops.
+* **Fuse adjacent launches** — runs of up to eight consecutive
+  recorded launches (panel→LASWP→TRSM→GEMM chains, factor→solve) are
+  merged into single launch records executing the captured closures
+  back to back and summing their costs (:func:`fuse_costs`):
+  flops/bytes/blocks totals are preserved exactly; only the launch
+  *count* (and with it the per-launch host overhead) drops.
 
 Replays stay bitwise identical to ``engine="bucketed"`` because the
 per-run host work the drivers would have done (pivot-state construction,
@@ -54,27 +55,28 @@ for that payload (see ``docs/API.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..device.kernel import KernelCost, peak_scale_for
 from ..device.memory import DeviceArray
 from ..device.simulator import Device
-from ..errors import CorruptionDetected, FactorizationError
+from ..errors import CorruptionDetected
 from .abft import ABFT_MAX_REEXEC, _LOOSE_FRAC, _SLACK, _abs_row_sum, \
     _lu_checksum, _mismatch, _row_sum
 from .engine import BatchEngine, INTERLEAVED_MIN_BS, resolve_engine
-from .gemm import irr_gemm
 from .getrf import DEFAULT_PANEL_WIDTH, irr_getrf
-from .getrs import irr_getrs
+from .getrs import _PivotView, _order_class_groups, irr_getrs
 from .interface import IrrBatch
 from .interleaved import INTERLEAVED_MAX_N, interleaved_lu_core
 from .panel import PivotControl, _batch_abs_max, panel_shared_bytes
-from .trsm import TRSM_BASE_NB, irr_trsm
 
 __all__ = ["WorkloadProgram", "ProgramResult", "compile_workload",
            "fuse_costs", "CompileError", "GuardTripped", "PayloadMismatch"]
+
+#: Most captured launches merged into one fused launch record.
+_FUSE_WINDOW = 8
 
 
 class CompileError(ValueError):
@@ -146,20 +148,9 @@ def fuse_costs(costs: list[KernelCost]) -> KernelCost:
 # steps
 # ----------------------------------------------------------------------
 class _HostStep:
-    """Host-side work between launches (pivot reset, growth epilogue)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def run(self, device: Device) -> None:
-        self.fn()
-
-
-class _GuardStep:
-    """Raises :class:`GuardTripped` when the payload leaves the recorded
-    schedule's validity region."""
+    """Host-side work between launches: pivot reset, growth epilogue, or
+    a replay guard that raises :class:`GuardTripped` when the payload
+    leaves the recorded schedule's validity region."""
 
     __slots__ = ("fn",)
 
@@ -226,10 +217,10 @@ class _FusedStep:
         device.launch(self.name, fused, outputs=outputs)
 
 
-def _fuse_steps(steps: list, window: int) -> list:
+def _fuse_steps(steps: list) -> list:
     """Merge runs of adjacent launch steps (host/guard steps are
-    barriers) into :class:`_FusedStep` records, at most ``window``
-    launches per fused record."""
+    barriers) into :class:`_FusedStep` records, at most
+    ``_FUSE_WINDOW`` launches per fused record."""
     out: list = []
     run: list[_LaunchStep] = []
 
@@ -243,7 +234,7 @@ def _fuse_steps(steps: list, window: int) -> list:
     for step in steps:
         if isinstance(step, _LaunchStep):
             run.append(step)
-            if len(run) >= window:
+            if len(run) >= _FUSE_WINDOW:
                 flush()
         else:
             flush()
@@ -321,37 +312,30 @@ class _Arena:
         self.used = 0
         self.flat = device.empty((self.capacity,), dtype=self.dtype)
         self.staging = np.empty(self.capacity, dtype=self.dtype)
-        self._buffers: list = []
-        self._staged: set = set()
+        #: staging holds bytes the device copy has not received yet
+        self.staged = False
 
-    def reserve(self, n: int, buf) -> int:
+    def reserve(self, n: int) -> int:
         off = self.used
         self.used += int(n)
         if self.used > self.capacity:
             raise CompileError(
                 f"arena overflow: reserved {self.used} elements of "
                 f"{self.capacity}")
-        self._buffers.append(buf)
         return off
 
-    def mark_staged(self, buf) -> None:
-        self._staged.add(id(buf))
-
     def flush(self) -> None:
-        """One packed H2D transfer for everything staged this run."""
-        if not self._staged:
-            return
-        if len(self._staged) == len(self._buffers) and self.capacity:
+        """One packed H2D transfer of the staging area.  Every run
+        stages every buffer (each payload is required), so the whole
+        arena moves at once."""
+        if self.staged and self.capacity:
             self.flat.copy_from_host(self.staging)
-        else:
-            for buf in self._buffers:
-                if id(buf) in self._staged:
-                    buf.flush_one()
-        self._staged.clear()
+        self.staged = False
 
-    def account_download(self, nbytes: int) -> None:
-        if nbytes:
-            self.device._account_transfer(int(nbytes))
+    def account_download(self) -> None:
+        """Charge one packed D2H transfer of the whole arena."""
+        if self.capacity:
+            self.device._account_transfer(self.flat.nbytes)
 
     def free(self) -> None:
         self.flat.free()
@@ -362,14 +346,13 @@ class _PackedBuffer:
 
     Mirrors :meth:`IrrBatch.from_host_packed` — per-matrix device views
     into one flat allocation, one H2D transfer per :meth:`load` — but
-    the allocation, the views and the :class:`IrrBatch` wrapper are
-    built once at compile time and reused by every execution.  With an
-    ``arena`` the storage is a range of the program-wide allocation and
-    run-time uploads coalesce into the arena's single flush.
+    the views and the :class:`IrrBatch` wrapper are built once at
+    compile time and reused by every execution.  The storage is a range
+    of the program-wide ``arena`` allocation, so run-time uploads
+    coalesce into the arena's single flush.
     """
 
-    def __init__(self, device: Device, shapes, dtype, arena=None):
-        self.device = device
+    def __init__(self, device: Device, shapes, dtype, arena: _Arena):
         self.arena = arena
         self.shapes = [(int(m), int(n)) for (m, n) in shapes]
         self.dtype = np.dtype(dtype)
@@ -377,13 +360,9 @@ class _PackedBuffer:
         self.offsets = np.cumsum([0] + sizes).astype(np.int64)
         self.total = int(self.offsets[-1])
         self._has_empty = any(s == 0 for s in sizes)
-        if arena is None:
-            self.staging = np.empty(self.total, dtype=self.dtype)
-            self.flat = device.empty((self.total,), dtype=self.dtype)
-        else:
-            base = arena.reserve(self.total, self)
-            self.staging = arena.staging[base:base + self.total]
-            self.flat = arena.flat[base:base + self.total]
+        base = arena.reserve(self.total)
+        self.staging = arena.staging[base:base + self.total]
+        self.flat = arena.flat[base:base + self.total]
         arrays = [DeviceArray(
             device,
             self.flat.data[int(o):int(o) + m * n].reshape((m, n)),
@@ -393,10 +372,6 @@ class _PackedBuffer:
         n_vec = np.array([n for (_m, n) in self.shapes], dtype=np.int64)
         self.batch = IrrBatch(device, arrays, m_vec, n_vec)
         self.batch._packed = self.flat
-
-    @property
-    def nbytes(self) -> int:
-        return self.total * self.dtype.itemsize
 
     def stage(self, payloads, *, label: str = "payload") -> None:
         """Copy payload bytes into the staging area (no transfer yet);
@@ -417,20 +392,15 @@ class _PackedBuffer:
                     f"got {a.dtype}")
             o = int(self.offsets[i])
             self.staging[o:o + a.size] = a.ravel()
-        if self.arena is not None:
-            self.arena.mark_staged(self)
-
-    def flush_one(self) -> None:
-        if self.total:
-            self.flat.copy_from_host(self.staging)
+        self.arena.staged = True
 
     def load(self, payloads, *, label: str = "payload") -> None:
         """Stage + transfer immediately (one packed H2D for this
         buffer; used at compile time)."""
         self.stage(payloads, label=label)
-        self.flush_one()
-        if self.arena is not None:
-            self.arena._staged.discard(id(self))
+        if self.total:
+            self.flat.copy_from_host(self.staging)
+        self.arena.staged = False
 
     def staged_matrix(self, i: int) -> np.ndarray:
         """Host staging view of member ``i`` (the payload as loaded —
@@ -454,13 +424,10 @@ class _PackedBuffer:
             out[i] = np.max(np.abs(data[int(offs[i]):int(offs[i + 1])]))
         return out
 
-    def download(self, *, account: bool = True) -> list[np.ndarray]:
-        if account:
-            return self.batch.to_host()
+    def download(self) -> list[np.ndarray]:
+        """Host copies of the members (the transfer is charged once
+        for the whole arena by :meth:`_Arena.account_download`)."""
         return [np.array(a.data, copy=True) for a in self.batch.arrays]
-
-    def free(self) -> None:
-        self.batch.free()
 
 
 class _InterleavedBuffer:
@@ -468,26 +435,17 @@ class _InterleavedBuffer:
     lowered uniform bucket (batch axis unit-stride)."""
 
     def __init__(self, device: Device, m: int, n: int, bs: int, dtype,
-                 arena=None):
-        self.device = device
+                 arena: _Arena):
         self.arena = arena
         self.m, self.n, self.bs = int(m), int(n), int(bs)
         self.dtype = np.dtype(dtype)
         shape = (self.m, self.n, self.bs)
         total = self.m * self.n * self.bs
-        if arena is None:
-            self.staging = np.empty(shape, dtype=self.dtype)
-            self.dev = device.empty(shape, dtype=self.dtype)
-        else:
-            base = arena.reserve(total, self)
-            self.staging = arena.staging[base:base + total].reshape(shape)
-            self.dev = DeviceArray(
-                device, arena.flat.data[base:base + total].reshape(shape),
-                base=arena.flat)
-
-    @property
-    def nbytes(self) -> int:
-        return self.m * self.n * self.bs * self.dtype.itemsize
+        base = arena.reserve(total)
+        self.staging = arena.staging[base:base + total].reshape(shape)
+        self.dev = DeviceArray(
+            device, arena.flat.data[base:base + total].reshape(shape),
+            base=arena.flat)
 
     def stage(self, payloads, *, label: str = "payload") -> None:
         if len(payloads) != self.bs:
@@ -504,17 +462,7 @@ class _InterleavedBuffer:
                     f"{label}[{b}]: expected dtype {self.dtype}, "
                     f"got {a.dtype}")
             self.staging[:, :, b] = a
-        if self.arena is not None:
-            self.arena.mark_staged(self)
-
-    def flush_one(self) -> None:
-        self.dev.copy_from_host(self.staging)
-
-    def load(self, payloads, *, label: str = "payload") -> None:
-        self.stage(payloads, label=label)
-        self.flush_one()
-        if self.arena is not None:
-            self.arena._staged.discard(id(self))
+        self.arena.staged = True
 
     def staged_matrix(self, b: int) -> np.ndarray:
         """Host staging view of member ``b`` (pre-run payload value)."""
@@ -523,23 +471,9 @@ class _InterleavedBuffer:
     def seg_abs_max(self) -> np.ndarray:
         return np.max(np.abs(self.dev.data), axis=(0, 1)).astype(np.float64)
 
-    def download(self, *, account: bool = True) -> list[np.ndarray]:
-        if account:
-            self.device._account_transfer(self.dev.nbytes)
+    def download(self) -> list[np.ndarray]:
         data = self.dev.data
         return [np.ascontiguousarray(data[:, :, b]) for b in range(self.bs)]
-
-    def free(self) -> None:
-        self.dev.free()
-
-
-class _PivotView:
-    """Pivot carrier for recorded solve launches (mirrors the serving
-    layer's view: a list of per-matrix pivot vectors + an info array)."""
-
-    def __init__(self, ipiv: list, info: np.ndarray):
-        self.ipiv = ipiv
-        self.info = info
 
 
 class _LoweredPivots:
@@ -577,16 +511,10 @@ def _reset_pivots(pivots, anorm: np.ndarray, tiny: float) -> None:
     pivots.__dict__.pop("_rehearsal", None)
 
 
-def _growth_epilogue(buf, ctrl) -> None:
-    """The driver's element-growth epilogue, replayed per run."""
-    post = buf.seg_abs_max()
+def _growth_epilogue(post: np.ndarray, ctrl) -> None:
+    """The driver's element-growth epilogue, replayed per run; ``post``
+    is the per-matrix ``max|LU_i|`` after the factorization."""
     np.divide(post, ctrl.anorm, out=ctrl.growth, where=ctrl.anorm > 0.0)
-
-
-_GETRS_BROKEN_MSG = (
-    "cannot solve from broken-down LU factors: matrices {bad} reported an "
-    "unrecovered pivot breakdown (pivots.info != 0); re-factor with "
-    "static_pivot=True or pass check_info=False")
 
 
 # ----------------------------------------------------------------------
@@ -675,34 +603,28 @@ class WorkloadProgram:
     the results — no planning, no allocation.
     """
 
-    def __init__(self, device: Device, op: str, signature: tuple,
-                 steps: list, inputs: dict, optional: set,
-                 collect, buffers: list, engine: BatchEngine,
-                 arena: "_Arena | None" = None):
+    def __init__(self, device: Device, op: str, steps: list, *,
+                 inputs: dict, collect, arena: _Arena, engine: BatchEngine,
+                 verifier, factor_batch: IrrBatch | None = None):
         self.device = device
         self.op = op
-        self.signature = signature
         self.steps = steps
         self.engine = engine
         self.runs = 0
         self._inputs = inputs          # name -> loader(payload)
-        self._optional = optional
         self._collect = collect
-        self._buffers = buffers
         self._arena = arena
         self._freed = False
-        #: optional ABFT verifier ``() -> first bad member | None``,
-        #: consulted after each execution when ``device.verify_kernels``
-        #: is on; set by the getrf / factor_solve compilers.
-        self._verifier = None
-        #: Device-resident factored batch after a :meth:`run` — set for
-        #: getrf / factor_solve programs, whose factors live in the
-        #: arena as an :class:`IrrBatch` (``None`` for other ops).
-        #: Contents are only meaningful until the next ``run``;
+        #: ABFT verifier ``() -> first bad member | None``, consulted
+        #: after each execution when ``device.verify_kernels`` is on.
+        self._verifier = verifier
+        #: Device-resident factored batch after a :meth:`run` (``None``
+        #: for the interleaved lowering, which has no :class:`IrrBatch`
+        #: view).  Contents are only meaningful until the next ``run``;
         #: the serving layer's mixed-precision finisher reads it to run
         #: correction solves against the resident factors without
         #: re-uploading them.
-        self.factor_batch: IrrBatch | None = None
+        self.factor_batch = factor_batch
 
     # -- inspection ----------------------------------------------------
     @property
@@ -726,29 +648,25 @@ class WorkloadProgram:
     def run(self, *, download: bool = True, **payloads) -> ProgramResult:
         """Replay the compiled schedule on new payload values.
 
-        Payload keyword names depend on the op (``a`` for matrices,
-        ``b`` for right-hand sides, ``c`` for GEMM outputs, ``ipiv`` /
-        ``info`` for precomputed pivots).  Raises
-        :class:`PayloadMismatch` on any signature deviation and
-        :class:`GuardTripped` when a replay guard fails (caller falls
-        back to the bucketed path for this payload).
+        Payloads are ``a`` (the matrices) and, for ``factor_solve``,
+        ``b`` (the right-hand sides).  Raises :class:`PayloadMismatch`
+        on any signature deviation and :class:`GuardTripped` when a
+        replay guard fails (caller falls back to the bucketed path for
+        this payload).
         """
         if self._freed:
             raise RuntimeError("cannot run a freed WorkloadProgram")
-        required = set(self._inputs) - self._optional
-        given = set(payloads)
-        if not (required <= given and given <= set(self._inputs)):
+        if set(payloads) != set(self._inputs):
             raise PayloadMismatch(
-                f"{self.op} program expects payloads {sorted(required)} "
-                f"(optional: {sorted(self._optional)}), got {sorted(given)}")
+                f"{self.op} program expects payloads "
+                f"{sorted(self._inputs)}, got {sorted(payloads)}")
         for name, loader in self._inputs.items():
-            if name in given:
-                loader(payloads[name])
-        verify = self.device.verify_kernels and self._verifier is not None
+            loader(payloads[name])
+        arena = self._arena
+        verify = self.device.verify_kernels
         attempts = (ABFT_MAX_REEXEC + 1) if verify else 1
         for attempt in range(attempts):
-            if self._arena is not None:
-                self._arena.flush()
+            arena.flush()
             for step in self.steps:
                 step.run(self.device)
             self.device.synchronize()
@@ -763,15 +681,13 @@ class WorkloadProgram:
                     site, bad, f"checksum mismatch survived "
                     f"{ABFT_MAX_REEXEC} program re-execution(s)")
             # Re-execute the whole program from the (host-side, intact)
-            # staging payloads: re-mark every buffer staged so the next
-            # flush re-uploads the clean bytes.
+            # staging payloads: mark the arena staged so the next flush
+            # re-uploads the clean bytes.
             self.device.recovery_log.record(
                 "kernel-reexec", site=site, attempt=attempt + 1,
                 detail=f"checksum mismatch at member {bad}; re-staged "
                        f"payloads and re-executed the program")
-            if self._arena is not None:
-                for buf in self._arena._buffers:
-                    self._arena.mark_staged(buf)
+            arena.staged = True
         self.runs += 1
         return self._collect(download)
 
@@ -780,14 +696,37 @@ class WorkloadProgram:
         if self._freed:
             return
         self._freed = True
-        for buf in self._buffers:
-            buf.free()
+        self._arena.free()
 
     def __enter__(self) -> "WorkloadProgram":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.free()
+
+
+def _lu_result(arena: _Arena, buf, pivots, download: bool,
+               rhs_bufs: list | None = None) -> ProgramResult:
+    """Snapshot a run's pivot state and, with ``download``, bring the
+    results back.  Factors and every solution group live in one
+    allocation, so one packed D2H transfer covers the whole arena.
+    ``rhs_bufs`` (``factor_solve`` only) pairs each solution buffer
+    with the member indices it holds."""
+    solutions = None if rhs_bufs is None else [None] * len(buf.shapes)
+    if download:
+        arena.account_download()
+        for rbuf, idxs in rhs_bufs or ():
+            for i, x in zip(idxs, rbuf.download()):
+                solutions[i] = x
+    ctrl = pivots.ctrl
+    return ProgramResult(
+        factors=buf.download() if download else None,
+        ipiv=[ip.copy() for ip in pivots.ipiv],
+        info=pivots.info.copy(),
+        n_replaced=ctrl.n_replaced.copy(),
+        min_pivot=ctrl.min_pivot.copy(),
+        growth=ctrl.growth.copy(),
+        solutions=solutions)
 
 
 # ----------------------------------------------------------------------
@@ -798,13 +737,11 @@ _LU_KEYS = frozenset({"nb", "panel", "laswp_variant", "concurrent_swaps",
 
 
 def _resolve_compile_engine(engine) -> BatchEngine:
-    if engine is None:
-        return BatchEngine("compiled")
-    eng = resolve_engine(engine)
+    eng = BatchEngine() if engine is None else resolve_engine(engine)
     if eng is None:
         raise CompileError(
             "cannot compile the naive per-matrix path; pass a bucketed "
-            "or compiled engine")
+            "engine")
     return eng
 
 
@@ -815,6 +752,31 @@ def _check_shapes(shapes, what: str) -> list[tuple[int, int]]:
         if int(m) < 0 or int(n) < 0:
             raise CompileError(f"{what} shape {s} is negative")
         out.append((int(m), int(n)))
+    return out
+
+
+def _check_rhs(shapes: list[tuple[int, int]], rhs_shapes
+               ) -> list[tuple[int, int] | None]:
+    if rhs_shapes is None:
+        raise CompileError("factor_solve compilation requires rhs_shapes "
+                           "(entries may be None for factor-only members)")
+    if len(rhs_shapes) != len(shapes):
+        raise CompileError("factor_solve needs one rhs entry per matrix")
+    out: list[tuple[int, int] | None] = []
+    for i, rs in enumerate(rhs_shapes):
+        if rs is None:
+            out.append(None)
+            continue
+        (m, n) = shapes[i]
+        if m != n:
+            raise CompileError(
+                f"factor_solve member {i} has an RHS but a non-square "
+                f"matrix {m}x{n}")
+        rm, rn = int(rs[0]), int(rs[1])
+        if rm != n:
+            raise CompileError(
+                f"factor_solve rhs {i} has {rm} rows for order {n}")
+        out.append((rm, rn))
     return out
 
 
@@ -846,76 +808,55 @@ def _lowerable(shapes: list[tuple[int, int]], lu_kwargs: dict,
 
 def compile_workload(device: Device, op: str, shapes, *,
                      dtype=np.float64, rhs_shapes=None,
-                     lu_kwargs: dict | None = None,
-                     op_kwargs: dict | None = None,
-                     engine=None, solve_grouping: str = "batch",
-                     fuse: bool = True, fuse_window: int = 8,
-                     lower_interleaved: bool = True) -> WorkloadProgram:
+                     lu_kwargs: dict | None = None, engine=None,
+                     fuse: bool = True) -> WorkloadProgram:
     """Compile a traffic signature into a :class:`WorkloadProgram`.
 
     Parameters
     ----------
     op:
-        ``"getrf"`` — factor a batch (payload ``a``); ``"getrs"`` —
-        solve from precomputed factors (payloads ``a``, ``ipiv``, ``b``,
-        optional ``info``); ``"factor_solve"`` — factor then solve in
-        one schedule (payloads ``a``, ``b``; ``b`` entries may be
-        ``None`` for factor-only members); ``"trsm"`` / ``"gemm"`` —
-        a single triangular-solve / multiply-accumulate launch group
-        (payloads ``a``, ``b`` (+ ``c``)).
+        ``"getrf"`` — factor a batch (payload ``a``); ``"factor_solve"``
+        — factor, then solve every member that has a right-hand side, in
+        one schedule (payloads ``a``, ``b``; ``b`` entries are ``None``
+        for factor-only members).  The solves are sub-batched by TRSM
+        order class exactly like
+        :class:`~repro.serve.service.SolverService` dispatch groups.
+        Uniform small single-panel ``getrf`` signatures are lowered to
+        the persistent interleaved struct-of-arrays kernel.
     shapes:
-        The signature's matrix shapes, one ``(m, n)`` per member (for
-        ``gemm``: one ``((ma, na), (mb, nb), (mc, nc))`` triple per
-        member).
+        The signature's matrix shapes, one ``(m, n)`` per member.
     rhs_shapes:
-        Right-hand-side shapes for ``getrs``/``factor_solve``/``trsm``
-        (``factor_solve`` accepts ``None`` entries for members without
-        a solve).
+        ``factor_solve`` only: one right-hand-side shape per member
+        (``None`` for members without a solve).
     lu_kwargs:
         The LU policy of the factor step (same keys as
         :func:`~repro.batched.getrf.irr_getrf`).  ``concurrent_swaps``
         is rejected: its side-stream schedule cannot be replayed.
-    solve_grouping:
-        ``"batch"`` — one solve over every member with an RHS (the plain
-        ``irr_getrf``+``irr_getrs`` pipeline); ``"order_class"`` — solve
-        members sub-batched by TRSM order class exactly like
-        :class:`~repro.serve.service.SolverService` dispatch groups.
-    fuse / fuse_window:
-        Merge runs of adjacent launches (at most ``fuse_window`` per
-        record) into fused launch records.
-    lower_interleaved:
-        Lower uniform small single-panel ``getrf`` signatures to the
-        persistent interleaved struct-of-arrays kernel.
+    engine:
+        A bucketed engine (name or shared :class:`BatchEngine`) to
+        record with; ``None`` makes a fresh one.
+    fuse:
+        Merge runs of adjacent launches (at most eight per record) into
+        fused launch records; ``False`` keeps one record per captured
+        launch.
     """
+    if op not in ("getrf", "factor_solve"):
+        raise CompileError(f"unknown workload op {op!r}")
     lu_kwargs = dict(lu_kwargs or {})
-    op_kwargs = dict(op_kwargs or {})
     if lu_kwargs.get("concurrent_swaps"):
         raise CompileError(
             "concurrent_swaps schedules use a side stream and events; "
             "they cannot be compiled into a static program")
     eng = _resolve_compile_engine(engine)
     dt = np.dtype(dtype)
-    if op == "getrf":
-        return _compile_getrf(device, shapes, dt, lu_kwargs, eng, fuse,
-                              fuse_window, lower_interleaved)
-    if op == "getrs":
-        return _compile_getrs(device, shapes, rhs_shapes, dt, eng, fuse,
-                              fuse_window)
+    shapes = _check_shapes(shapes, op)
     if op == "factor_solve":
-        return _compile_factor_solve(device, shapes, rhs_shapes, dt,
-                                     lu_kwargs, eng, solve_grouping, fuse,
-                                     fuse_window)
-    if op == "trsm":
-        return _compile_trsm(device, shapes, rhs_shapes, dt, op_kwargs,
-                             eng, fuse, fuse_window)
-    if op == "gemm":
-        return _compile_gemm(device, shapes, dt, op_kwargs, eng, fuse,
-                             fuse_window)
-    raise CompileError(f"unknown workload op {op!r}")
-
-
-def _maybe_fuse(steps: list, fuse: bool, window: int) -> list:
-    return _fuse_steps(steps, window) if fuse and window >= 2 else steps
+        return _compile_lu(device, op, shapes, _check_rhs(shapes, rhs_shapes),
+                           dt, lu_kwargs, eng, fuse)
+    if _lowerable(shapes, lu_kwargs, device, dt.itemsize):
+        return _compile_getrf_interleaved(device, shapes, dt, lu_kwargs, eng)
+    return _compile_lu(device, op, shapes, [None] * len(shapes), dt,
+                       lu_kwargs, eng, fuse)
 
 
 def _synthetic_lu(m: int, n: int, dt: np.dtype) -> np.ndarray:
@@ -923,58 +864,116 @@ def _synthetic_lu(m: int, n: int, dt: np.dtype) -> np.ndarray:
     return np.eye(m, n, dtype=dt)
 
 
-# -- getrf -------------------------------------------------------------
-def _compile_getrf(device, shapes, dt, lu_kwargs, eng, fuse, fuse_window,
-                   lower_interleaved) -> WorkloadProgram:
-    shapes = _check_shapes(shapes, "getrf")
-    signature = ("getrf", dt.str, tuple(shapes),
-                 tuple(sorted(lu_kwargs.items())))
-    if lower_interleaved and _lowerable(shapes, lu_kwargs, device,
-                                        dt.itemsize):
-        return _compile_getrf_interleaved(device, shapes, dt, lu_kwargs,
-                                          eng, signature)
-    arena = _Arena(device, dt, sum(m * n for (m, n) in shapes))
-    buf = _PackedBuffer(device, shapes, dt, arena=arena)
-    buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes],
-             label="compile")
+def _compile_lu(device, op, shapes, rhs, dt, lu_kwargs, eng,
+                fuse) -> WorkloadProgram:
+    """Record ``irr_getrf`` plus the order-class ``irr_getrs`` solve of
+    every member with a right-hand side (``rhs[i]`` not ``None``)."""
+    arena = _Arena(device, dt,
+                   sum(m * n for (m, n) in shapes)
+                   + sum(m * n for rs in rhs if rs is not None
+                         for (m, n) in [rs]))
+    a_buf = _PackedBuffer(device, shapes, dt, arena=arena)
+    a_buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes],
+               label="compile")
     rec = _Recorder(device)
     with rec:
-        pivots = irr_getrf(device, buf.batch, engine=eng, **lu_kwargs)
-    launches = rec.take()
-    device.synchronize()
-
+        pivots = irr_getrf(device, a_buf.batch, engine=eng, **lu_kwargs)
+    factor_launches = rec.take()
     tiny = float(np.finfo(dt).tiny)
     ctrl = pivots.ctrl
     steps: list = [_HostStep(lambda: _reset_pivots(
-        pivots, buf.seg_abs_max(), tiny))]
-    steps.extend(launches)
-    if launches:
-        steps.append(_HostStep(lambda: _growth_epilogue(buf, ctrl)))
-    steps = _maybe_fuse(steps, fuse, fuse_window)
+        pivots, a_buf.seg_abs_max(), tiny))]
+    steps.extend(factor_launches)
+    if factor_launches:
+        steps.append(_HostStep(lambda: _growth_epilogue(
+            a_buf.seg_abs_max(), ctrl)))
 
-    def collect(download: bool) -> ProgramResult:
-        if download:
-            arena.account_download(buf.nbytes)
-        return ProgramResult(
-            factors=buf.download(account=False) if download else None,
-            ipiv=[ip.copy() for ip in pivots.ipiv],
-            info=pivots.info.copy(),
-            n_replaced=ctrl.n_replaced.copy(),
-            min_pivot=ctrl.min_pivot.copy(),
-            growth=ctrl.growth.copy())
+    sel = [i for i, rs in enumerate(rhs) if rs is not None]
+    rhs_bufs: list[tuple[_PackedBuffer, list[int]]] = []
+    if sel:
+        guard_idx = np.asarray(sel, dtype=np.int64)
 
-    prog = WorkloadProgram(device, "getrf", signature, steps,
-                           inputs={"a": buf.stage}, optional=set(),
-                           collect=collect, buffers=[arena], engine=eng,
-                           arena=arena)
-    prog.factor_batch = buf.batch
-    prog._verifier = lambda: _program_factor_check(
-        buf.batch.matrix, buf.staged_matrix, pivots, len(shapes), dt)
-    return prog
+        def guard() -> None:
+            if np.any(pivots.info[guard_idx] != 0):
+                bad = guard_idx[pivots.info[guard_idx] != 0]
+                raise GuardTripped(
+                    f"pivot breakdown during compiled replay (matrices "
+                    f"{bad.tolist()}); the recorded solve schedule "
+                    f"assumes clean factors — fall back to the bucketed "
+                    f"path for this payload", info=pivots.info.copy())
+
+        steps.append(_HostStep(guard))
+        views: list[_PivotView] = []
+        for idxs in _order_class_groups((i, shapes[i][1]) for i in sel):
+            rbuf = _PackedBuffer(device, [rhs[i] for i in idxs], dt,
+                                 arena=arena)
+            rbuf.load([np.ones(rhs[i], dtype=dt) for i in idxs],
+                      label="compile")
+            rhs_bufs.append((rbuf, idxs))
+            sub = np.asarray(idxs)
+            fsub = IrrBatch(device, [a_buf.batch.arrays[i] for i in idxs],
+                            a_buf.batch.m_vec[sub], a_buf.batch.n_vec[sub])
+            view = _PivotView([pivots.ipiv[i] for i in idxs],
+                              pivots.info[sub])
+            views.append(view)
+            with rec:
+                irr_getrs(device, fsub, view, rbuf.batch, engine=eng,
+                          check_info=False)
+            steps.extend(rec.take())
+
+        def drop_view_memos() -> None:
+            for v in views:
+                v.__dict__.pop("_rehearsal", None)
+        steps.insert(0, _HostStep(drop_view_memos))
+    device.synchronize()
+    if fuse:
+        steps = _fuse_steps(steps)
+
+    inputs = {"a": a_buf.stage}
+    if op == "factor_solve":
+        def load_rhs(b_list) -> None:
+            if len(b_list) != len(shapes):
+                raise PayloadMismatch(
+                    f"b: expected {len(shapes)} entries (None for "
+                    f"factor-only members), got {len(b_list)}")
+            for i, b in enumerate(b_list):
+                if (b is None) != (rhs[i] is None):
+                    raise PayloadMismatch(
+                        f"b[{i}]: rhs presence does not match the "
+                        f"compiled signature")
+            for rbuf, idxs in rhs_bufs:
+                rbuf.stage([b_list[i] for i in idxs], label="b")
+
+        inputs["b"] = load_rhs
+
+    def verifier() -> int | None:
+        bad = _program_factor_check(a_buf.batch.matrix,
+                                    a_buf.staged_matrix, pivots,
+                                    len(shapes), dt)
+        if bad is not None:
+            return bad
+        for rbuf, idxs in rhs_bufs:
+            pos = {i: p for p, i in enumerate(idxs)}
+            bad = _program_solve_check(
+                a_buf.staged_matrix,
+                lambda i, rb=rbuf, pp=pos: rb.staged_matrix(pp[i]),
+                lambda i, rb=rbuf, pp=pos: rb.batch.matrix(pp[i]),
+                pivots, idxs, dt)
+            if bad is not None:
+                return bad
+        return None
+
+    solved = rhs_bufs if op == "factor_solve" else None
+    return WorkloadProgram(
+        device, op, steps, inputs=inputs,
+        collect=lambda download: _lu_result(arena, a_buf, pivots,
+                                            download, solved),
+        arena=arena, engine=eng, verifier=verifier,
+        factor_batch=a_buf.batch)
 
 
-def _compile_getrf_interleaved(device, shapes, dt, lu_kwargs, eng,
-                               signature) -> WorkloadProgram:
+def _compile_getrf_interleaved(device, shapes, dt, lu_kwargs,
+                               eng) -> WorkloadProgram:
     """Lower a uniform small single-panel getrf to one persistent
     struct-of-arrays launch (bitwise identical to the bucketed engine's
     interleaved panel bucket, including cost and diagnostics)."""
@@ -1029,382 +1028,12 @@ def _compile_getrf_interleaved(device, shapes, dt, lu_kwargs, eng,
     steps: list = [
         _HostStep(lambda: _reset_pivots(pivots, buf.seg_abs_max(), tiny)),
         _LaunchStep("irrgetf2", kernel, outputs=lambda: [data]),
-        _HostStep(lambda: _growth_epilogue(buf, ctrl)),
+        _HostStep(lambda: _growth_epilogue(buf.seg_abs_max(), ctrl)),
     ]
 
-    def collect(download: bool) -> ProgramResult:
-        if download:
-            arena.account_download(buf.nbytes)
-        return ProgramResult(
-            factors=buf.download(account=False) if download else None,
-            ipiv=[ip.copy() for ip in pivots.ipiv],
-            info=pivots.info.copy(),
-            n_replaced=ctrl.n_replaced.copy(),
-            min_pivot=ctrl.min_pivot.copy(),
-            growth=ctrl.growth.copy())
-
-    prog = WorkloadProgram(device, "getrf", signature, steps,
-                           inputs={"a": buf.stage}, optional=set(),
-                           collect=collect, buffers=[arena], engine=eng,
-                           arena=arena)
-    # the interleaved struct-of-arrays lowering has no IrrBatch view
-    prog.factor_batch = getattr(buf, "batch", None)
-    prog._verifier = lambda: _program_factor_check(
-        lambda b: data[:, :, b], buf.staged_matrix, pivots, bs, dt)
-    return prog
-
-
-# -- getrs -------------------------------------------------------------
-def _compile_getrs(device, shapes, rhs_shapes, dt, eng, fuse,
-                   fuse_window) -> WorkloadProgram:
-    shapes = _check_shapes(shapes, "getrs")
-    if rhs_shapes is None:
-        raise CompileError("getrs compilation requires rhs_shapes")
-    rhs_shapes = _check_shapes(rhs_shapes, "getrs rhs")
-    if len(rhs_shapes) != len(shapes):
-        raise CompileError("getrs needs one rhs shape per matrix")
-    for i, ((m, n), (rm, _rn)) in enumerate(zip(shapes, rhs_shapes)):
-        if m != n:
-            raise CompileError(f"getrs matrix {i} is not square: {m}x{n}")
-        if rm != n:
-            raise CompileError(
-                f"getrs rhs {i} has {rm} rows for order {n}")
-    signature = ("getrs", dt.str, tuple(shapes), tuple(rhs_shapes))
-
-    arena = _Arena(device, dt,
-                   sum(m * n for (m, n) in rhs_shapes)
-                   + sum(m * n for (m, n) in shapes))
-    # RHS first: the downloaded solutions occupy one leading range
-    b_buf = _PackedBuffer(device, rhs_shapes, dt, arena=arena)
-    a_buf = _PackedBuffer(device, shapes, dt, arena=arena)
-    a_buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes],
-               label="compile")
-    b_buf.load([np.ones(s, dtype=dt) for s in rhs_shapes], label="compile")
-    view = _PivotView([np.arange(n, dtype=np.int64) for (_m, n) in shapes],
-                      np.zeros(len(shapes), dtype=np.int64))
-    rec = _Recorder(device)
-    with rec:
-        irr_getrs(device, a_buf.batch, view, b_buf.batch, engine=eng)
-    steps: list = list(rec.take())
-    device.synchronize()
-    steps = _maybe_fuse(steps, fuse, fuse_window)
-
-    def load_ipiv(ipiv_list) -> None:
-        if len(ipiv_list) != len(shapes):
-            raise PayloadMismatch(
-                f"ipiv: expected {len(shapes)} vectors, "
-                f"got {len(ipiv_list)}")
-        for i, ip in enumerate(ipiv_list):
-            arr = np.asarray(ip, dtype=np.int64)
-            if arr.shape != (shapes[i][1],):
-                raise PayloadMismatch(
-                    f"ipiv[{i}]: expected {shapes[i][1]} pivots, "
-                    f"got shape {arr.shape}")
-            view.ipiv[i] = arr
-        view.__dict__.pop("_rehearsal", None)
-
-    def load_info(info) -> None:
-        # replicate irr_getrs's check_info on caller-provided codes
-        # (None — the default — means clean factors).
-        view.info[...] = 0
-        if info is None:
-            return
-        codes = np.asarray(info, dtype=np.int64)
-        if codes.shape != (len(shapes),):
-            raise PayloadMismatch(
-                f"info: expected {len(shapes)} codes, got {codes.shape}")
-        if np.any(codes != 0):
-            bad = np.nonzero(codes != 0)[0]
-            raise FactorizationError(
-                _GETRS_BROKEN_MSG.format(bad=bad.tolist()))
-
-    inputs = {"info": load_info, "ipiv": load_ipiv, "a": a_buf.stage,
-              "b": b_buf.stage}
-
-    def collect(download: bool) -> ProgramResult:
-        if download:
-            arena.account_download(b_buf.nbytes)
-        return ProgramResult(
-            solutions=b_buf.download(account=False) if download else None)
-
-    return WorkloadProgram(device, "getrs", signature, steps,
-                           inputs=inputs, optional={"info"},
-                           collect=collect, buffers=[arena],
-                           engine=eng, arena=arena)
-
-
-# -- factor + solve pipeline -------------------------------------------
-def _compile_factor_solve(device, shapes, rhs_shapes, dt, lu_kwargs, eng,
-                          solve_grouping, fuse, fuse_window
-                          ) -> WorkloadProgram:
-    shapes = _check_shapes(shapes, "factor_solve")
-    if rhs_shapes is None:
-        raise CompileError("factor_solve compilation requires rhs_shapes "
-                           "(entries may be None for factor-only members)")
-    if len(rhs_shapes) != len(shapes):
-        raise CompileError("factor_solve needs one rhs entry per matrix")
-    if solve_grouping not in ("batch", "order_class"):
-        raise CompileError(f"unknown solve_grouping {solve_grouping!r}")
-    rhs_norm: list[tuple[int, int] | None] = []
-    for i, rs in enumerate(rhs_shapes):
-        if rs is None:
-            rhs_norm.append(None)
-            continue
-        (m, n) = shapes[i]
-        if m != n:
-            raise CompileError(
-                f"factor_solve member {i} has an RHS but a non-square "
-                f"matrix {m}x{n}")
-        rm, rn = int(rs[0]), int(rs[1])
-        if rm != n:
-            raise CompileError(
-                f"factor_solve rhs {i} has {rm} rows for order {n}")
-        rhs_norm.append((rm, rn))
-    sel = [i for i, rs in enumerate(rhs_norm) if rs is not None]
-    signature = ("factor_solve", dt.str, tuple(shapes), tuple(rhs_norm),
-                 tuple(sorted(lu_kwargs.items())), solve_grouping)
-
-    arena = _Arena(device, dt,
-                   sum(m * n for (m, n) in shapes)
-                   + sum(m * n for rs in rhs_norm if rs is not None
-                         for (m, n) in [rs]))
-    a_buf = _PackedBuffer(device, shapes, dt, arena=arena)
-    a_buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes],
-               label="compile")
-    rec = _Recorder(device)
-    with rec:
-        pivots = irr_getrf(device, a_buf.batch, engine=eng, **lu_kwargs)
-    factor_launches = rec.take()
-    tiny = float(np.finfo(dt).tiny)
-    ctrl = pivots.ctrl
-    steps: list = [_HostStep(lambda: _reset_pivots(
-        pivots, a_buf.seg_abs_max(), tiny))]
-    steps.extend(factor_launches)
-    if factor_launches:
-        steps.append(_HostStep(lambda: _growth_epilogue(a_buf, ctrl)))
-
-    views: list[_PivotView] = []
-    rhs_bufs: list[tuple[_PackedBuffer, list[int]]] = []
-    if sel:
-        guard_idx = np.asarray(sel, dtype=np.int64)
-
-        def guard() -> None:
-            if np.any(pivots.info[guard_idx] != 0):
-                bad = guard_idx[pivots.info[guard_idx] != 0]
-                raise GuardTripped(
-                    f"pivot breakdown during compiled replay (matrices "
-                    f"{bad.tolist()}); the recorded solve schedule "
-                    f"assumes clean factors — fall back to the bucketed "
-                    f"path for this payload", info=pivots.info.copy())
-
-        steps.append(_GuardStep(guard))
-
-        if solve_grouping == "batch":
-            groups = [list(sel)]
-        else:
-            # the serving layer's TRSM order classes, ascending
-            by_order: dict[int, list[int]] = {}
-            for i in sel:
-                order = shapes[i][1]
-                ocls = order if order > TRSM_BASE_NB else 0
-                by_order.setdefault(ocls, []).append(i)
-            groups = [by_order[c] for c in sorted(by_order)]
-
-        for idxs in groups:
-            rbuf = _PackedBuffer(device, [rhs_norm[i] for i in idxs], dt,
-                                 arena=arena)
-            rbuf.load([np.ones(rhs_norm[i], dtype=dt) for i in idxs],
-                      label="compile")
-            rhs_bufs.append((rbuf, idxs))
-            if solve_grouping == "batch" and len(idxs) == len(shapes):
-                carrier = pivots           # the plain-pipeline parity case
-            else:
-                fsub = IrrBatch(device,
-                                [a_buf.batch.arrays[i] for i in idxs],
-                                a_buf.batch.m_vec[np.asarray(idxs)],
-                                a_buf.batch.n_vec[np.asarray(idxs)])
-                carrier = _PivotView(
-                    [pivots.ipiv[i] for i in idxs],
-                    pivots.info[np.asarray(idxs)])
-                views.append(carrier)
-            with rec:
-                if carrier is pivots:
-                    irr_getrs(device, a_buf.batch, pivots, rbuf.batch,
-                              engine=eng, check_info=False)
-                else:
-                    irr_getrs(device, fsub, carrier, rbuf.batch,
-                              engine=eng, check_info=False)
-            steps.extend(rec.take())
-    device.synchronize()
-
-    if views:
-        def drop_view_memos() -> None:
-            for v in views:
-                v.__dict__.pop("_rehearsal", None)
-        steps.insert(0, _HostStep(drop_view_memos))
-    steps = _maybe_fuse(steps, fuse, fuse_window)
-
-    def load_rhs(b_list) -> None:
-        if len(b_list) != len(shapes):
-            raise PayloadMismatch(
-                f"b: expected {len(shapes)} entries (None for factor-only "
-                f"members), got {len(b_list)}")
-        for i, b in enumerate(b_list):
-            if (b is None) != (rhs_norm[i] is None):
-                raise PayloadMismatch(
-                    f"b[{i}]: rhs presence does not match the compiled "
-                    f"signature")
-        for rbuf, idxs in rhs_bufs:
-            rbuf.stage([b_list[i] for i in idxs], label="b")
-
-    inputs = {"a": a_buf.stage, "b": load_rhs}
-
-    def collect(download: bool) -> ProgramResult:
-        solutions: list = [None] * len(shapes)
-        if download:
-            # factors + every solution group live in one allocation:
-            # one packed D2H transfer brings the whole arena back
-            arena.account_download(
-                a_buf.nbytes + sum(rb.nbytes for rb, _ in rhs_bufs))
-            for rbuf, idxs in rhs_bufs:
-                xs = rbuf.download(account=False)
-                for i, x in zip(idxs, xs):
-                    solutions[i] = x
-        return ProgramResult(
-            factors=a_buf.download(account=False) if download else None,
-            ipiv=[ip.copy() for ip in pivots.ipiv],
-            info=pivots.info.copy(),
-            n_replaced=ctrl.n_replaced.copy(),
-            min_pivot=ctrl.min_pivot.copy(),
-            growth=ctrl.growth.copy(),
-            solutions=solutions)
-
-    prog = WorkloadProgram(device, "factor_solve", signature, steps,
-                           inputs=inputs, optional=set(), collect=collect,
-                           buffers=[arena], engine=eng, arena=arena)
-    prog.factor_batch = a_buf.batch
-
-    def verifier() -> int | None:
-        bad = _program_factor_check(a_buf.batch.matrix,
-                                    a_buf.staged_matrix, pivots,
-                                    len(shapes), dt)
-        if bad is not None:
-            return bad
-        for rbuf, idxs in rhs_bufs:
-            pos = {i: p for p, i in enumerate(idxs)}
-            bad = _program_solve_check(
-                a_buf.staged_matrix,
-                lambda i, rb=rbuf, pp=pos: rb.staged_matrix(pp[i]),
-                lambda i, rb=rbuf, pp=pos: rb.batch.matrix(pp[i]),
-                pivots, idxs, dt)
-            if bad is not None:
-                return bad
-        return None
-
-    prog._verifier = verifier
-    return prog
-
-
-# -- trsm / gemm -------------------------------------------------------
-def _compile_trsm(device, shapes, rhs_shapes, dt, op_kwargs, eng, fuse,
-                  fuse_window) -> WorkloadProgram:
-    shapes = _check_shapes(shapes, "trsm")
-    if rhs_shapes is None:
-        raise CompileError("trsm compilation requires rhs_shapes")
-    rhs_shapes = _check_shapes(rhs_shapes, "trsm rhs")
-    if len(rhs_shapes) != len(shapes):
-        raise CompileError("trsm needs one rhs shape per matrix")
-    side = op_kwargs.pop("side", "L")
-    uplo = op_kwargs.pop("uplo", "L")
-    transa = op_kwargs.pop("transa", "N")
-    diag = op_kwargs.pop("diag", "N")
-    alpha = op_kwargs.pop("alpha", 1.0)
-    if op_kwargs:
-        raise CompileError(f"unknown trsm options {sorted(op_kwargs)}")
-    m_req = max((m for (m, _n) in rhs_shapes), default=0)
-    n_req = max((n for (_m, n) in rhs_shapes), default=0)
-    signature = ("trsm", dt.str, tuple(shapes), tuple(rhs_shapes),
-                 (side, uplo, transa, diag, float(np.real(alpha)),
-                  float(np.imag(alpha))))
-
-    arena = _Arena(device, dt,
-                   sum(m * n for (m, n) in rhs_shapes)
-                   + sum(m * n for (m, n) in shapes))
-    b_buf = _PackedBuffer(device, rhs_shapes, dt, arena=arena)
-    a_buf = _PackedBuffer(device, shapes, dt, arena=arena)
-    a_buf.load([_synthetic_lu(m, n, dt) for (m, n) in shapes],
-               label="compile")
-    b_buf.load([np.ones(s, dtype=dt) for s in rhs_shapes], label="compile")
-    rec = _Recorder(device)
-    with rec:
-        irr_trsm(device, side, uplo, transa, diag, m_req, n_req, alpha,
-                 a_buf.batch, (0, 0), b_buf.batch, (0, 0), engine=eng)
-    steps = _maybe_fuse(list(rec.take()), fuse, fuse_window)
-    device.synchronize()
-
-    def collect(download: bool) -> ProgramResult:
-        if download:
-            arena.account_download(b_buf.nbytes)
-        return ProgramResult(
-            solutions=b_buf.download(account=False) if download else None)
-
-    return WorkloadProgram(device, "trsm", signature, steps,
-                           inputs={"a": a_buf.stage, "b": b_buf.stage},
-                           optional=set(), collect=collect,
-                           buffers=[arena], engine=eng, arena=arena)
-
-
-def _compile_gemm(device, shapes, dt, op_kwargs, eng, fuse,
-                  fuse_window) -> WorkloadProgram:
-    triples = []
-    for t in shapes:
-        sa, sb, sc = t
-        triples.append((_check_shapes([sa], "gemm A")[0],
-                        _check_shapes([sb], "gemm B")[0],
-                        _check_shapes([sc], "gemm C")[0]))
-    transa = op_kwargs.pop("transa", "N")
-    transb = op_kwargs.pop("transb", "N")
-    alpha = op_kwargs.pop("alpha", 1.0)
-    beta = op_kwargs.pop("beta", 1.0)
-    if op_kwargs:
-        raise CompileError(f"unknown gemm options {sorted(op_kwargs)}")
-    m_req = max((c[0] for (_a, _b, c) in triples), default=0)
-    n_req = max((c[1] for (_a, _b, c) in triples), default=0)
-    if transa == "N":
-        k_req = max((a[1] for (a, _b, _c) in triples), default=0)
-    else:
-        k_req = max((a[0] for (a, _b, _c) in triples), default=0)
-    signature = ("gemm", dt.str, tuple(triples),
-                 (transa, transb, float(np.real(alpha)),
-                  float(np.imag(alpha)), float(np.real(beta)),
-                  float(np.imag(beta))))
-
-    arena = _Arena(device, dt,
-                   sum(t[0][0] * t[0][1] + t[1][0] * t[1][1]
-                       + t[2][0] * t[2][1] for t in triples))
-    c_buf = _PackedBuffer(device, [t[2] for t in triples], dt, arena=arena)
-    a_buf = _PackedBuffer(device, [t[0] for t in triples], dt, arena=arena)
-    b_buf = _PackedBuffer(device, [t[1] for t in triples], dt, arena=arena)
-    a_buf.load([np.ones(t[0], dtype=dt) for t in triples], label="compile")
-    b_buf.load([np.ones(t[1], dtype=dt) for t in triples], label="compile")
-    c_buf.load([np.zeros(t[2], dtype=dt) for t in triples],
-               label="compile")
-    rec = _Recorder(device)
-    with rec:
-        irr_gemm(device, transa, transb, m_req, n_req, k_req, alpha,
-                 a_buf.batch, (0, 0), b_buf.batch, (0, 0), beta,
-                 c_buf.batch, (0, 0), engine=eng)
-    steps = _maybe_fuse(list(rec.take()), fuse, fuse_window)
-    device.synchronize()
-
-    def collect(download: bool) -> ProgramResult:
-        if download:
-            arena.account_download(c_buf.nbytes)
-        return ProgramResult(
-            solutions=c_buf.download(account=False) if download else None)
-
-    return WorkloadProgram(device, "gemm", signature, steps,
-                           inputs={"a": a_buf.stage, "b": b_buf.stage,
-                                   "c": c_buf.stage},
-                           optional=set(), collect=collect,
-                           buffers=[arena], engine=eng, arena=arena)
+    return WorkloadProgram(
+        device, "getrf", steps, inputs={"a": buf.stage},
+        collect=lambda download: _lu_result(arena, buf, pivots, download),
+        arena=arena, engine=eng,
+        verifier=lambda: _program_factor_check(
+            lambda b: data[:, :, b], buf.staged_matrix, pivots, bs, dt))

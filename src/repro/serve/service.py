@@ -45,11 +45,10 @@ import scipy.sparse as sp
 
 from ..batched.engine import BatchEngine, PlanCache
 from ..batched.getrf import irr_getrf
-from ..batched.getrs import irr_getrs
+from ..batched.getrs import _PivotView, _order_class_groups, irr_getrs
 from ..batched.interface import IrrBatch
 from ..batched.program import CompileError, GuardTripped, PayloadMismatch, \
     compile_workload
-from ..batched.trsm import TRSM_BASE_NB
 from ..device.memory import DeviceOutOfMemory
 from ..device.simulator import Device
 from ..errors import CorruptionDetected, FactorizationError, \
@@ -103,15 +102,6 @@ def _pick_dtype(a: np.ndarray) -> np.dtype:
     if d in (np.float32, np.complex64, np.complex128):
         return np.dtype(d)
     return np.dtype(np.float64)
-
-
-class _PivotView:
-    """Adapter giving :func:`irr_getrs` the pivot surface it needs
-    (``ipiv`` + ``info``) for factors rehydrated from host handles."""
-
-    def __init__(self, ipiv: list, info: np.ndarray):
-        self.ipiv = ipiv
-        self.info = info
 
 
 class FactorHandle:
@@ -701,33 +691,25 @@ class SolverService:
         device = self.device
         lu_kwargs = self._effective_lu_kwargs(group, policy)
         dtype = np.dtype(group[0].key[1])
-        mixed = "mixed" in group[0].key
         launch0 = device.profiler.launch_count
         batch = IrrBatch.from_host_packed(device,
                                    [r.payload["a"] for r in group],
                                    dtype=dtype)
         try:
-            occupancy = self._occupancy(batch)
             pivots = irr_getrf(device, batch, engine=self._engine,
                                **lu_kwargs)
             # factor_solve members with clean factors: sub-batch the
-            # solve step by order class (bitwise getrs affinity: one
-            # shared base-case class at <= TRSM_BASE_NB, exact order
-            # above) and reuse the still-resident factored arrays — no
-            # re-upload.
-            by_order: dict[int, list[int]] = {}
-            for i, r in enumerate(group):
-                if r.kind == "factor_solve" and pivots.info[i] == 0:
-                    order = int(batch.m_vec[i])
-                    ocls = order if order > TRSM_BASE_NB else 0
-                    by_order.setdefault(ocls, []).append(i)
+            # solve step by order class (bitwise getrs affinity) and
+            # reuse the still-resident factored arrays — no re-upload.
+            classes = _order_class_groups(
+                (i, int(batch.m_vec[i])) for i, r in enumerate(group)
+                if r.kind == "factor_solve" and pivots.info[i] == 0)
             xs: dict[int, np.ndarray] = {}
             pending: list[tuple[list[int], IrrBatch]] = []
             try:
                 # issue every order class's solve before the single
                 # synchronize — one sync covers all sub-groups
-                for order in sorted(by_order):
-                    idxs = by_order[order]
+                for idxs in classes:
                     fsub = IrrBatch(device,
                                     [batch.arrays[i] for i in idxs],
                                     batch.m_vec[idxs], batch.n_vec[idxs])
@@ -748,7 +730,7 @@ class SolverService:
                 for _, rhs in pending:
                     rhs.free()
             bad: list[int] = []
-            if mixed and xs:
+            if "mixed" in group[0].key and xs:
                 # FP64 finisher over the still-resident reduced factors
                 items = [(i, group[i].payload["a_ref"],
                           group[i].payload["b_ref"], xs[i]) for i in xs]
@@ -756,9 +738,25 @@ class SolverService:
             lu_host = batch.to_host()
         finally:
             batch.free()
+        return self._finish_getrf_group(group, lu_kwargs, lu_host, pivots,
+                                        xs, bad, launch0)
 
+    def _finish_getrf_group(self, group: list[Request], lu_kwargs: dict,
+                            factors: list, pivots, xs: dict,
+                            bad: list[int], launch0: int
+                            ) -> tuple[int, float]:
+        """Tail shared by the bucketed and compiled getrf runners.
+
+        Builds every member's :class:`FactorHandle` from the group's
+        host ``factors`` and ``pivots`` diagnostics (a
+        :class:`PanelPivots` or a program result), runs the solo FP64
+        fallback for mixed members whose reduced factors broke down or
+        whose refinement stagnated (``bad``), counts the group's
+        launches since ``launch0`` and resolves every member future.
+        """
+        mixed = "mixed" in group[0].key
         handles = [FactorHandle(
-            lu_host[i], pivots.ipiv[i].copy(),
+            factors[i], pivots.ipiv[i].copy(),
             int(pivots.info[i]), int(pivots.n_replaced[i]),
             float(pivots.min_pivot[i]), float(pivots.growth[i]),
             precision="fp32" if mixed else "fp64",
@@ -773,14 +771,14 @@ class SolverService:
                             h, req.payload.get("b_ref"), lu_kwargs)
                     except FactorizationError as exc:
                         failures[i] = exc
-        launches = device.profiler.launch_count - launch0
-
+        launches = self.device.profiler.launch_count - launch0
         for i, req in enumerate(group):
             if i in failures:
                 self._fail(req, failures[i])
             else:
                 self._resolve_getrf_member(req, handles[i], xs.get(i))
-        return launches, occupancy
+        return launches, self._occupancy(
+            [r.payload["a"].shape for r in group])
 
     def _resolve_getrf_member(self, req: Request, handle: FactorHandle,
                               x: np.ndarray | None) -> None:
@@ -862,8 +860,7 @@ class SolverService:
                     rhs_shapes=[r.payload["b2"].shape
                                 if r.kind == "factor_solve" else None
                                 for r in group],
-                    lu_kwargs=lu_kwargs, engine=self._engine,
-                    solve_grouping="order_class")
+                    lu_kwargs=lu_kwargs, engine=self._engine)
             else:
                 prog = compile_workload(self.device, "getrf", shapes,
                                         dtype=dtype, lu_kwargs=lu_kwargs,
@@ -922,60 +919,33 @@ class SolverService:
                 self._programs.pop(s).free()
             return None
         self.stats.on_compiled_dispatch()
-        mixed = "mixed" in group[0].key
-        handles = [FactorHandle(
-            res.factors[i], res.ipiv[i],
-            int(res.info[i]), int(res.n_replaced[i]),
-            float(res.min_pivot[i]), float(res.growth[i]),
-            precision="fp32" if mixed else "fp64",
-            a_ref=group[i].payload.get("a_ref"))
-            for i in range(len(group))]
         xs = {} if res.solutions is None else \
             {i: x for i, x in enumerate(res.solutions) if x is not None}
-        failures: dict[int, BaseException] = {}
-        if mixed:
+        bad: list[int] = []
+        items = [] if "mixed" not in group[0].key else \
+            [(i, group[i].payload["a_ref"], group[i].payload["b_ref"],
+              xs[i]) for i in xs if res.info[i] == 0]
+        if items:
             # same finisher as the bucketed path; the program's arena
             # still holds the reduced factors device-resident, so the
             # correction solves run against them with zero factor
-            # re-upload (the fallback re-uploads only when a program
-            # variant does not expose its batch)
-            items = [(i, group[i].payload["a_ref"],
-                      group[i].payload["b_ref"], xs[i])
-                     for i in xs if handles[i].info == 0]
-            bad: list[int] = []
-            if items:
-                fbatch = prog.factor_batch
-                owned = fbatch is None
+            # re-upload (the interleaved lowering exposes no batch, so
+            # its factors are re-uploaded)
+            fbatch = prog.factor_batch
+            owned = fbatch is None
+            if owned:
+                fbatch = IrrBatch.from_host_packed(
+                    device, res.factors, dtype=np.dtype(group[0].key[1]))
+            try:
+                refined, bad = self._refine_members(fbatch, res.ipiv,
+                                                    items)
+                xs.update(refined)
+            finally:
                 if owned:
-                    fbatch = IrrBatch.from_host_packed(
-                        device, [h.lu for h in handles],
-                        dtype=np.dtype(group[0].key[1]))
-                try:
-                    refined, bad = self._refine_members(
-                        fbatch, [h.ipiv for h in handles], items)
-                    xs.update(refined)
-                finally:
-                    if owned:
-                        fbatch.free()
-            lu_kwargs = self._effective_lu_kwargs(group, policy)
-            for i, (req, h) in enumerate(zip(group, handles)):
-                if h.info != 0 or i in bad:
-                    try:
-                        xs[i] = self._dense_precision_fallback(
-                            h, req.payload.get("b_ref"), lu_kwargs)
-                    except FactorizationError as exc:
-                        failures[i] = exc
-        launches = device.profiler.launch_count - launch0
-        ms = np.array([r.payload["a"].shape[0] for r in group])
-        ns = np.array([r.payload["a"].shape[1] for r in group])
-        denom = len(group) * int(ms.max()) * int(ns.max())
-        occupancy = float((ms * ns).sum()) / denom if denom else 1.0
-        for i, req in enumerate(group):
-            if i in failures:
-                self._fail(req, failures[i])
-            else:
-                self._resolve_getrf_member(req, handles[i], xs.get(i))
-        return launches, occupancy
+                    fbatch.free()
+        return self._finish_getrf_group(
+            group, self._effective_lu_kwargs(group, policy), res.factors,
+            res, xs, bad, launch0)
 
     def _run_getrs_group(self, group: list[Request],
                          policy: DispatchPolicy | None = None
@@ -1001,7 +971,8 @@ class SolverService:
                                      [r.payload["b2"] for r in group],
                                      dtype=dtype)
             try:
-                occupancy = self._occupancy(rhs)
+                occupancy = self._occupancy(
+                    [r.payload["b2"].shape for r in group])
                 view = _PivotView([h.ipiv for h in handles],
                                   np.zeros(len(handles), dtype=np.int64))
                 irr_getrs(device, factored, view, rhs,
@@ -1037,9 +1008,12 @@ class SolverService:
         return launches, occupancy
 
     @staticmethod
-    def _occupancy(batch: IrrBatch) -> float:
-        denom = len(batch) * batch.max_m * batch.max_n
-        return float(batch.total_elements()) / denom if denom else 1.0
+    def _occupancy(shapes: list[tuple[int, int]]) -> float:
+        """Useful fraction of the group's padded ``max m x max n`` grid."""
+        denom = len(shapes) * max(m for m, _ in shapes) * \
+            max(n for _, n in shapes)
+        return float(sum(m * n for m, n in shapes)) / denom if denom \
+            else 1.0
 
     # -- mixed-precision finisher ----------------------------------------
     def _refine_members(self, batch: IrrBatch, ipiv,

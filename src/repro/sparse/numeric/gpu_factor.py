@@ -209,18 +209,72 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
 
+    return _package_result(device, symb, host_factors, region, mark,
+                           traversals=n_chunks, pivot_tol=pivot_tol,
+                           static_pivot=static_pivot,
+                           replace_scale=replace_scale, breakdown=breakdown)
+
+
+def _front_factors(info, data: np.ndarray, ipiv: np.ndarray,
+                   diag: tuple | None) -> FrontFactors:
+    """Host factors of one front from its downloaded dense buffer and
+    its ``(info, n_replaced, min_pivot, growth)`` diagnostics (``None``:
+    a front with no pivot block)."""
+    s = info.sep_size
+    d_info, d_rep, d_minp, d_growth = diag or (0, 0, np.inf, 1.0)
+    return FrontFactors(
+        f11=data[:s, :s].copy(), ipiv=ipiv,
+        f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
+        info=d_info, n_replaced=d_rep, min_pivot=d_minp, growth=d_growth)
+
+
+def _flush_fronts(symb, fids, buffers, pivots_of, diag_of, host_factors,
+                  host_schur) -> None:
+    """Stream finished fronts back to the host: their factors, plus the
+    Schur blocks a parent outside ``fids`` still has to assemble.  Frees
+    each front's device buffer."""
+    fid_set = set(fids)
+    for fid in fids:
+        info = symb.fronts[fid]
+        data = buffers[fid].to_host()
+        host_factors[fid] = _front_factors(info, data, pivots_of[fid],
+                                           diag_of.get(fid))
+        if info.parent >= 0 and info.parent not in fid_set \
+                and info.upd_size:
+            s = info.sep_size
+            host_schur[fid] = data[s:, s:].copy()
+        buffers[fid].free()
+        del buffers[fid]
+
+
+def _factor_report(symb, host_factors, recovery, *, pivot_tol,
+                   static_pivot, replace_scale,
+                   breakdown) -> MultifrontalFactors:
+    """Assemble the host factors and their :class:`FactorReport`;
+    ``breakdown="raise"`` raises on an unrecovered pivot breakdown."""
     out = MultifrontalFactors(symb=symb)
     out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
-
     out.report = FactorReport.from_factors(
         out, pivot_tol=pivot_tol, static_pivot=static_pivot,
         replace_scale=replace_scale)
-    out.report.recovery = device.recovery_log.since(mark)
+    out.report.recovery = recovery
     if breakdown == "raise" and not out.report.ok:
         raise FactorizationError(out.report.summary(), out.report)
+    return out
 
+
+def _package_result(device, symb, host_factors, region, mark, *,
+                    traversals, pivot_tol, static_pivot, replace_scale,
+                    breakdown, counters_extra=None) -> GpuFactorResult:
+    """The report tail of a single-device factorization (bucketed
+    traversal or compiled replay)."""
+    out = _factor_report(symb, host_factors,
+                         device.recovery_log.since(mark),
+                         pivot_tol=pivot_tol, static_pivot=static_pivot,
+                         replace_scale=replace_scale, breakdown=breakdown)
     counters = {k: region[k] for k in region if k != "elapsed"}
-    counters["traversals"] = n_chunks
+    counters["traversals"] = traversals
+    counters.update(counters_extra or {})
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
                            counters=counters,
                            breakdown=device.profiler.by_prefix(),
@@ -247,26 +301,6 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     host_schur: dict[int, np.ndarray] = {}
     host_factors: dict[int, FrontFactors] = {}
 
-    def flush_chunk(chunk: list[int]) -> None:
-        """Stream a finished traversal's results back to the host."""
-        chunk_set = set(chunk)
-        for fid in chunk:
-            info = symb.fronts[fid]
-            s = info.sep_size
-            data = buffers[fid].to_host()
-            d_info, d_rep, d_minp, d_growth = diag_of.get(
-                fid, (0, 0, np.inf, 1.0))
-            host_factors[fid] = FrontFactors(
-                f11=data[:s, :s].copy(), ipiv=pivots_of[fid],
-                f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-                info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-                growth=d_growth)
-            if info.parent >= 0 and info.parent not in chunk_set \
-                    and info.upd_size:
-                host_schur[fid] = data[s:, s:].copy()
-            buffers[fid].free()
-            del buffers[fid]
-
     # Upload the sparse matrix (outside the timed factorization region,
     # as a solver would hold A on the device already).
     device._claim(a_dev_bytes, site="gpu_factor:a_csr")
@@ -283,11 +317,13 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
                                static_pivot=static_pivot,
                                replace_scale=replace_scale)
                 if streaming:
-                    flush_chunk(chunk)
+                    _flush_fronts(symb, chunk, buffers, pivots_of, diag_of,
+                                  host_factors, host_schur)
         if not streaming:
             # Factors stayed resident (as a solver keeping them for the
             # solve phase would); download outside the measured region.
-            flush_chunk(chunks[0])
+            _flush_fronts(symb, chunks[0], buffers, pivots_of, diag_of,
+                          host_factors, host_schur)
         return host_factors, region, len(chunks)
     finally:
         for arr in buffers.values():

@@ -30,18 +30,17 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ...batched.engine import BatchEngine, resolve_engine
+from ...batched.engine import BatchEngine
 from ...batched.getrf import irr_getrf
 from ...batched.panel import _batch_abs_max
 from ...batched.program import CompileError, GuardTripped, PayloadMismatch, \
-    _GuardStep, _HostStep, _Recorder, _maybe_fuse, _reset_pivots
+    _HostStep, _Recorder, _fuse_steps, _growth_epilogue, _reset_pivots, \
+    _resolve_compile_engine
 from ...device.simulator import Device
-from ...errors import FactorizationError
 from ..symbolic.analysis import SymbolicFactorization
-from .factors import FrontFactors, MultifrontalFactors
 from .gpu_factor import GpuFactorResult, _assemble_level, _chunk_levels, \
-    _level_offdiag, _make_block_batches, _record_level_diag
-from .report import FactorReport
+    _front_factors, _level_offdiag, _make_block_batches, _package_result, \
+    _record_level_diag
 
 __all__ = ["FactorProgram", "compile_factor_program"]
 
@@ -129,7 +128,7 @@ class FactorProgram:
             _record_level_diag(diag_of, fids, piv)
             for fid, ip in zip(fids, piv.ipiv):
                 pivots_of[fid] = ip
-        return _package_result(
+        return _download_result(
             device, self.symb, self._buffers, pivots_of, diag_of, region,
             mark, pivot_tol=pivot_tol, static_pivot=static_pivot,
             replace_scale=replace_scale, breakdown=breakdown,
@@ -145,38 +144,16 @@ class FactorProgram:
         self.device._release(self.a_dev_bytes)
 
 
-def _package_result(device, symb, buffers, pivots_of, diag_of, region,
-                    mark, *, pivot_tol, static_pivot, replace_scale,
-                    breakdown, counters_extra=None) -> GpuFactorResult:
-    """The download-and-report tail of ``multifrontal_factor_gpu``."""
-    host_factors = {}
-    for fid in range(len(symb.fronts)):
-        info = symb.fronts[fid]
-        s = info.sep_size
-        data = buffers[fid].to_host()
-        d_info, d_rep, d_minp, d_growth = diag_of.get(
-            fid, (0, 0, np.inf, 1.0))
-        host_factors[fid] = FrontFactors(
-            f11=data[:s, :s].copy(), ipiv=pivots_of[fid].copy(),
-            f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-            info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-            growth=d_growth)
-
-    out = MultifrontalFactors(symb=symb)
-    out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    out.report.recovery = device.recovery_log.since(mark)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
-    counters = {k: region[k] for k in region if k != "elapsed"}
-    counters["traversals"] = 1
-    counters.update(counters_extra or {})
-    return GpuFactorResult(factors=out, elapsed=region["elapsed"],
-                           counters=counters,
-                           breakdown=device.profiler.by_prefix(),
-                           report=out.report)
+def _download_result(device, symb, buffers, pivots_of, diag_of, region,
+                     mark, **kw) -> GpuFactorResult:
+    """Download every front (the buffers and pivot arrays persist
+    across replays, so the host factors are copies) and report."""
+    host_factors = {
+        fid: _front_factors(symb.fronts[fid], buffers[fid].to_host(),
+                            pivots_of[fid].copy(), diag_of.get(fid))
+        for fid in range(len(symb.fronts))}
+    return _package_result(device, symb, host_factors, region, mark,
+                           traversals=1, **kw)
 
 
 def compile_factor_program(device: Device, a_perm: sp.spmatrix,
@@ -189,8 +166,7 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
                            static_pivot: bool = False,
                            replace_scale: float | None = None,
                            breakdown: str = "raise",
-                           engine=None, fuse: bool = True,
-                           fuse_window: int = 8
+                           engine=None, fuse: bool = True
                            ) -> tuple["FactorProgram | None",
                                       GpuFactorResult]:
     """Factor ``a_perm`` once while recording the level schedule.
@@ -207,12 +183,7 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
         raise CompileError(f"unknown gemm_mode {gemm_mode!r}")
     if breakdown not in ("raise", "report"):
         raise CompileError(f"unknown breakdown mode {breakdown!r}")
-    eng = resolve_engine(engine) if engine is not None \
-        else BatchEngine("compiled")
-    if eng is None:
-        raise CompileError(
-            "cannot compile the naive per-matrix path; pass a bucketed "
-            "or compiled engine")
+    eng = _resolve_compile_engine(engine)
     a_csr = sp.csr_matrix(a_perm).copy()
     if a_csr.shape[0] != symb.n:
         raise CompileError("matrix size does not match the symbolic "
@@ -268,10 +239,7 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
                     _reset_pivots(piv, _batch_abs_max(f11), tiny)
 
                 def growth(piv=piv, f11=f11) -> None:
-                    ctrl = piv.ctrl
-                    post = _batch_abs_max(f11)
-                    np.divide(post, ctrl.anorm, out=ctrl.growth,
-                              where=ctrl.anorm > 0.0)
+                    _growth_epilogue(_batch_abs_max(f11), piv.ctrl)
 
                 def guard(piv=piv, fids=tuple(fids)) -> None:
                     if np.any(piv.info != 0):
@@ -298,7 +266,7 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
                     # growth/diag before the guard so a tripped replay
                     # still leaves coherent diagnostics behind
                     steps.append(_HostStep(growth))
-                    steps.append(_GuardStep(guard))
+                    steps.append(_HostStep(guard))
                     steps.extend(offdiag_steps)
     except Exception:
         for arr in buffers.values():
@@ -317,10 +285,10 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
     if ok:
         program = FactorProgram(
             device, symb, a_csr, a_dev_bytes, buffers,
-            _maybe_fuse(steps, fuse, fuse_window), level_diags, policy,
+            _fuse_steps(steps) if fuse else steps, level_diags, policy,
             eng)
     try:
-        result = _package_result(
+        result = _download_result(
             device, symb, buffers, pivots_of, diag_of, region, mark,
             pivot_tol=pivot_tol, static_pivot=static_pivot,
             replace_scale=replace_scale, breakdown=breakdown,

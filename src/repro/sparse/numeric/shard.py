@@ -43,11 +43,11 @@ from ...batched.engine import resolve_engine
 from ...device.node import Node
 from ...device.simulator import Device
 from ...device.spec import XEON_6140_2S
-from ...errors import FactorizationError
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors
-from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, _run_level
+from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, \
+    _factor_report, _flush_fronts, _run_level
 from .report import FactorReport
 
 __all__ = ["partition_tree", "RankAssignment",
@@ -235,7 +235,6 @@ def multifrontal_factor_sharded(
         buffers: dict = {}
         pivots_of: dict = {}
         diag_of: dict[int, tuple[int, int, float, float]] = {}
-        fid_set = set(fids)
         try:
             with device.timed_region() as region:
                 for level_fids in _chunk_levels(symb, fids):
@@ -246,22 +245,8 @@ def multifrontal_factor_sharded(
                                diag_of=diag_of, pivot_tol=pivot_tol,
                                static_pivot=static_pivot,
                                replace_scale=replace_scale)
-            for fid in fids:
-                info = symb.fronts[fid]
-                s = info.sep_size
-                data = buffers[fid].to_host()
-                d_info, d_rep, d_minp, d_growth = diag_of.get(
-                    fid, (0, 0, np.inf, 1.0))
-                host_factors[fid] = FrontFactors(
-                    f11=data[:s, :s].copy(), ipiv=pivots_of[fid],
-                    f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-                    info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-                    growth=d_growth)
-                if info.parent >= 0 and info.parent not in fid_set \
-                        and info.upd_size:
-                    host_schur[fid] = data[s:, s:].copy()
-                buffers[fid].free()
-                del buffers[fid]
+            _flush_fronts(symb, fids, buffers, pivots_of, diag_of,
+                          host_factors, host_schur)
         finally:
             for arr in buffers.values():
                 arr.free()
@@ -323,17 +308,12 @@ def multifrontal_factor_sharded(
         for d in claimed:
             node[d]._release(a_dev_bytes)
 
-    out = MultifrontalFactors(symb=symb)
-    out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
     events: list = []
     for dev, mark in zip(node, marks):
         events.extend(dev.recovery_log.since(mark).events)
-    out.report.recovery = RecoveryLog(events)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
+    out = _factor_report(symb, host_factors, RecoveryLog(events),
+                         pivot_tol=pivot_tol, static_pivot=static_pivot,
+                         replace_scale=replace_scale, breakdown=breakdown)
 
     return ShardedFactorResult(
         factors=out, assignment=assign, elapsed=node.synchronize(),

@@ -49,8 +49,11 @@ class TestResolveEngine:
         assert resolve_engine(eng) is eng
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            resolve_engine("turbo")
+        for mode in ("turbo", "compiled"):
+            with pytest.raises(ValueError):
+                resolve_engine(mode)
+            with pytest.raises(ValueError):
+                BatchEngine(mode)
 
 
 class TestGemmParity:

@@ -111,6 +111,8 @@ class TestThreeWayParity:
             r = IrrBatch.from_host(dev, [m.copy() for m in rhss])
             irr_getrs(dev, b, piv, r, engine=engine)
             runs[engine] = (b.to_host(), piv, r.to_host())
+        # every order is <= TRSM_BASE_NB, i.e. one TRSM order class, so
+        # the program's order-class solve is this whole-batch getrs
         dev = Device(A100())
         prog = compile_workload(dev, "factor_solve", self.SHAPES,
                                 dtype=dtype,

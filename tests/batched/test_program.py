@@ -16,7 +16,6 @@ from repro.batched import CompileError, GuardTripped, IrrBatch, \
     irr_getrf, irr_getrs
 from repro.device import A100, Device
 from repro.device.kernel import KernelCost
-from repro.errors import FactorizationError
 from repro.workloads.random_batch import random_square_batch
 
 pytestmark = pytest.mark.compiled
@@ -210,36 +209,32 @@ class TestInterleavedLowering:
 
 
 class TestFactorSolve:
-    def _baseline(self, As, Bs, grouping):
+    def _baseline(self, As, Bs):
+        """Bucketed factor, then the serve-style solve per TRSM order
+        class (orders <= 32 share class 0)."""
         dev = Device(A100())
         batch = IrrBatch.from_host_packed(dev, As)
         piv = irr_getrf(dev, batch, engine="bucketed")
         sel = [i for i, b in enumerate(Bs) if b is not None]
         sols = {}
-        if grouping == "batch":
-            groups = [sel]
-        else:
-            by_order = {}
-            for i in sel:
-                n = As[i].shape[1]
-                by_order.setdefault(n if n > 32 else 0, []).append(i)
-            groups = [by_order[c] for c in sorted(by_order)]
-        for idxs in groups:
+        by_order = {}
+        for i in sel:
+            n = As[i].shape[1]
+            by_order.setdefault(n if n > 32 else 0, []).append(i)
+        for idxs in (by_order[c] for c in sorted(by_order)):
             out = _baseline_solve_subbatch(dev, batch, piv, idxs,
                                            [Bs[i] for i in idxs])
             for i, x in zip(idxs, out):
                 sols[i] = x
         return sols
 
-    @pytest.mark.parametrize("grouping", ["batch", "order_class"])
-    def test_pipeline_parity(self, rng, grouping):
+    def test_pipeline_parity(self, rng):
         As = [rng.standard_normal(s) for s in SQ]
         Bs = [rng.standard_normal(r) if r else None for r in RHS]
         dev = Device(A100())
-        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS,
-                                solve_grouping=grouping)
+        prog = compile_workload(dev, "factor_solve", SQ, rhs_shapes=RHS)
         res = prog.run(a=As, b=Bs)
-        sols = self._baseline(As, Bs, grouping)
+        sols = self._baseline(As, Bs)
         for i, x in sols.items():
             np.testing.assert_array_equal(res.solutions[i], x)
         assert res.solutions[1] is None      # factor-only member
@@ -269,44 +264,9 @@ class TestFactorSolve:
         with pytest.raises(GuardTripped):
             prog.run(a=bad, b=Bs)
         res = prog.run(a=As, b=Bs)
-        sols = self._baseline(As, Bs, "batch")
+        sols = self._baseline(As, Bs)
         for i, x in sols.items():
             np.testing.assert_array_equal(res.solutions[i], x)
-        prog.free()
-
-
-class TestGetrs:
-    def test_parity_with_pipeline(self, rng):
-        As = [rng.standard_normal((17, 17)) for _ in range(6)]
-        Bs = [rng.standard_normal((17, 3)) for _ in range(6)]
-        bdev = Device(A100())
-        fb = IrrBatch.from_host_packed(bdev, As)
-        piv = irr_getrf(bdev, fb, engine="bucketed")
-        bdev.synchronize()
-        factors = fb.to_host()
-        rb = IrrBatch.from_host_packed(bdev, Bs)
-        irr_getrs(bdev, fb, piv, rb, engine="bucketed")
-        bdev.synchronize()
-        xs = rb.to_host()
-
-        dev = Device(A100())
-        prog = compile_workload(dev, "getrs", [(17, 17)] * 6,
-                                rhs_shapes=[(17, 3)] * 6)
-        res = prog.run(a=factors, ipiv=piv.ipiv, b=Bs, info=piv.info)
-        for a, b in zip(res.solutions, xs):
-            np.testing.assert_array_equal(a, b)
-        prog.free()
-
-    def test_broken_info_refused(self, rng):
-        As = [rng.standard_normal((5, 5)) for _ in range(4)]
-        Bs = [rng.standard_normal((5, 1)) for _ in range(4)]
-        dev = Device(A100())
-        prog = compile_workload(dev, "getrs", [(5, 5)] * 4,
-                                rhs_shapes=[(5, 1)] * 4)
-        info = np.zeros(4, dtype=np.int64)
-        info[2] = 3
-        with pytest.raises(FactorizationError, match="broken-down"):
-            prog.run(a=As, ipiv=[np.arange(5)] * 4, b=Bs, info=info)
         prog.free()
 
 
@@ -344,9 +304,12 @@ class TestErrors:
             compile_workload(dev, "getrf", [(4, 4)] * 3, engine="naive")
 
     def test_unknown_op(self):
+        # getrs / trsm / gemm were compilable once; only the two ops
+        # the serving layer replays remain
         dev = Device(A100())
-        with pytest.raises(CompileError, match="unknown workload op"):
-            compile_workload(dev, "potrf", [(4, 4)] * 3)
+        for op in ("potrf", "getrs", "trsm", "gemm"):
+            with pytest.raises(CompileError, match="unknown workload op"):
+                compile_workload(dev, op, [(4, 4)] * 3)
 
     def test_run_after_free(self, rng):
         dev = Device(A100())

@@ -1,0 +1,65 @@
+"""The CI workflow runs what it claims to run.
+
+YAML silently keeps the last of two duplicate keys, so a step with two
+``run:`` lines drops the first command without any error.  These tests
+load ``.github/workflows/ci.yml`` with a loader that rejects duplicate
+keys, and check that every pytest marker declared in ``pyproject.toml``
+has a CI step running ``pytest -m <marker>``.
+"""
+
+import pathlib
+import re
+
+import pytest
+import yaml
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CI_YML = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Safe loader that raises on a mapping key given twice."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+def _load(text: str):
+    return yaml.load(text, Loader=_UniqueKeyLoader)
+
+
+def _steps() -> list[dict]:
+    workflow = _load(CI_YML.read_text())
+    return [step for job in workflow["jobs"].values()
+            for step in job["steps"]]
+
+
+def test_loader_rejects_duplicate_keys():
+    with pytest.raises(yaml.constructor.ConstructorError,
+                       match="duplicate key 'run'"):
+        _load("- name: step\n  run: a\n  run: b\n")
+
+
+def test_workflow_has_no_duplicate_keys():
+    assert _steps()
+
+
+def test_every_marker_has_a_ci_step():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    markers = [line.split(":", 1)[0].strip() for line in
+               pyproject["tool"]["pytest"]["ini_options"]["markers"]]
+    runs = [step.get("run", "") for step in _steps()]
+    missing = [m for m in markers
+               if not any(re.search(rf"pytest\b.*\s-m\s+{re.escape(m)}\b",
+                                    run) for run in runs)]
+    assert markers
+    assert not missing, f"markers with no CI step: {missing}"
