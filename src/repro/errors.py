@@ -61,7 +61,7 @@ import numpy as np
 __all__ = ["FactorizationError", "PrecisionFallback", "TransferError",
            "KernelLaunchError", "ResourceExhausted", "CorruptionDetected",
            "ServiceOverloaded", "DeadlineExceeded", "RequestCancelled",
-           "ServiceDegraded", "InfeasibleConfig"]
+           "ServiceDegraded", "InfeasibleConfig", "PatternMismatch"]
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -297,4 +297,13 @@ class InfeasibleConfig(ValueError):
     never work here" apart from an argument-validation bug: the
     autotuner skips :class:`InfeasibleConfig` candidates and propagates
     every other :class:`ValueError`.
+    """
+
+
+class PatternMismatch(ValueError):
+    """A sparse matrix has nonzero entries its symbolic analysis does not
+    cover — typically a matrix that was not permuted the way the
+    analysis was.  Factoring it anyway would silently drop those
+    entries, so every multifrontal traversal counts the nonzero entries
+    its fronts gather and raises this on a shortfall.
     """

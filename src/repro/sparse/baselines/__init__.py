@@ -1,36 +1,13 @@
 """Comparator solvers for Table I.
 
-* ``naive_loop_factor`` — cuBLAS/cuSOLVER called in a loop per front.
-* ``strumpack_like_factor`` — STRUMPACK v6.3.1's naive ≤32×32 batch
-  kernels plus per-operation synchronization.
+The cuBLAS/cuSOLVER loop and the STRUMPACK v6.3.1 model are launch
+strategies of the multifrontal GPU factorization
+(``multifrontal_factor_gpu(strategy="looped" | "strumpack")``); the
+one comparator with a schedule of its own lives here:
+
 * ``superlu_like_factor`` — SuperLU_Dist-style CPU panels + GPU GEMMs.
 """
 
-from __future__ import annotations
-
-import scipy.sparse as sp
-
-from ...device.simulator import Device
-from ..numeric.gpu_factor import GpuFactorResult, multifrontal_factor_gpu
-from ..symbolic.analysis import SymbolicFactorization
 from .superlu_like import superlu_like_factor
 
-__all__ = ["naive_loop_factor", "strumpack_like_factor",
-           "superlu_like_factor"]
-
-
-def naive_loop_factor(device: Device, a_perm: sp.spmatrix,
-                      symb: SymbolicFactorization, **kw) -> GpuFactorResult:
-    """The "trivial implementation calling cuBLAS or cuSOLVER in a loop"
-    (Fig 14 / Table I)."""
-    return multifrontal_factor_gpu(device, a_perm, symb,
-                                   strategy="looped", **kw)
-
-
-def strumpack_like_factor(device: Device, a_perm: sp.spmatrix,
-                          symb: SymbolicFactorization,
-                          **kw) -> GpuFactorResult:
-    """STRUMPACK v6.3.1 model: naive small-front batch kernels, looped
-    large fronts, synchronization after every operation (Table I)."""
-    return multifrontal_factor_gpu(device, a_perm, symb,
-                                   strategy="strumpack", **kw)
+__all__ = ["superlu_like_factor"]

@@ -19,11 +19,10 @@ from ...analysis.flops import getrf_flops, trsm_flops
 from ...batched.vendor import vendor_gemm
 from ...device.simulator import Device
 from ...device.spec import CpuSpec, XEON_6140_2S
-from ...errors import FactorizationError
 from ..numeric.cpu_factor import factor_front_blocks
-from ..numeric.factors import MultifrontalFactors, assemble_front
-from ..numeric.gpu_factor import GpuFactorResult
-from ..numeric.report import FactorReport
+from ..numeric.factors import host_traversal
+from ..numeric.gpu_factor import FactorPolicy, GpuFactorResult, \
+    _factor_report
 from ..symbolic.analysis import SymbolicFactorization
 
 __all__ = ["superlu_like_factor"]
@@ -47,46 +46,32 @@ def superlu_like_factor(device: Device, a_perm: sp.spmatrix,
                         replace_scale: float | None = None,
                         breakdown: str = "raise") -> GpuFactorResult:
     """Factor with the SuperLU-style CPU-panel + GPU-GEMM schedule."""
-    if breakdown not in ("raise", "report"):
-        raise ValueError(f"unknown breakdown mode {breakdown!r}; "
-                         "choose 'raise' or 'report'")
+    policy = FactorPolicy(pivot_tol=pivot_tol, static_pivot=static_pivot,
+                          replace_scale=replace_scale, breakdown=breakdown)
     a_perm = sp.csr_matrix(a_perm)
     cpu = cpu or XEON_6140_2S()
-    out = MultifrontalFactors(symb=symb)
-    out.fronts = [None] * len(symb.fronts)  # type: ignore[list-item]
-    schur: list = [None] * len(symb.fronts)
+    fronts = []
+
+    def factor(fid, info, F):
+        s, u = info.sep_size, info.upd_size
+        # CPU panel factorization + triangular solves.
+        device.host_compute(_panel_seconds(s, info.order, cpu, threads))
+        fac, S = factor_front_blocks(F, s, **policy.pivot_kw,
+                                     raise_on_breakdown=False)
+        fronts.append(fac)
+        if u:
+            # H2D for the panel blocks, GEMM on the device, D2H Schur.
+            device._account_transfer((s * u * 2) * 8)
+            S[...] = F[s:, s:]
+            vendor_gemm(device, "N", "N", -1.0, fac.f21, fac.f12,
+                        1.0, S, name="cublas_gemm:schur")
+            device.synchronize()
+            device._account_transfer(u * u * 8)
+        return S
 
     with device.timed_region() as region:
-        for fid, info in enumerate(symb.fronts):
-            contribs = [schur[c] for c in info.children]
-            for c in info.children:
-                schur[c] = None
-            F = assemble_front(a_perm, info, [x for x in contribs if x])
-            s, u = info.sep_size, info.upd_size
-
-            # CPU panel factorization + triangular solves.
-            device.host_compute(_panel_seconds(s, info.order, cpu, threads))
-            fac, S = factor_front_blocks(
-                F, s, pivot_tol=pivot_tol, static_pivot=static_pivot,
-                replace_scale=replace_scale, raise_on_breakdown=False)
-            out.fronts[fid] = fac
-
-            if u:
-                # H2D for the panel blocks, GEMM on the device, D2H Schur.
-                device._account_transfer((s * u * 2) * 8)
-                S[...] = F[s:, s:]
-                vendor_gemm(device, "N", "N", -1.0, fac.f21, fac.f12,
-                            1.0, S, name="cublas_gemm:schur")
-                device.synchronize()
-                device._account_transfer(u * u * 8)
-            if info.parent >= 0:
-                schur[fid] = (S, info.upd)
-
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
+        host_traversal(a_perm, symb, factor)
+    out = _factor_report(symb, fronts, policy)
     counters = {k: region[k] for k in region if k != "elapsed"}
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
                            counters=counters, report=out.report,

@@ -17,18 +17,19 @@ Cholesky fronts batch so well).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ..batched.gemm import irr_gemm
-from ..batched.interface import IrrBatch
 from ..batched.potrf import NotPositiveDefiniteError, irr_potrf
 from ..batched.trsm import irr_trsm
 from ..device.simulator import Device
-from .numeric.factors import assemble_front
-from .numeric.gpu_factor import GpuFactorResult, _assemble_level
+from .numeric.factors import check_gathered, host_traversal
+from .numeric.gpu_factor import GpuFactorResult, _FrontStore, \
+    _make_block_batches, _traverse
 from .ordering.nested_dissection import DEFAULT_LEAF_SIZE, nested_dissection
 from .solver import SolveInfo
 from .symbolic.analysis import SymbolicFactorization, symbolic_analysis
@@ -64,59 +65,46 @@ def _factor_front(F: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray,
 
 def _factor_cpu(a_perm: sp.csr_matrix,
                 symb: SymbolicFactorization) -> CholeskyFactors:
-    schur: list = [None] * len(symb.fronts)
     out = CholeskyFactors(symb=symb)
-    for fid, info in enumerate(symb.fronts):
-        contribs = [schur[c] for c in info.children]
-        for c in info.children:
-            schur[c] = None
-        F = assemble_front(a_perm, info, [x for x in contribs if x])
+
+    def factor(fid, info, F):
         l11, l21, S = _factor_front(F, info.sep_size)
         out.l11.append(l11)
         out.l21.append(l21)
-        if info.parent >= 0:
-            schur[fid] = (S, info.upd)
+        return S
+
+    host_traversal(a_perm, symb, factor)
     return out
+
+
+def _llt_step(device: Device, symb: SymbolicFactorization, fids, buffers,
+              store, *, nb: int) -> None:
+    """The LLᵀ level step: batched POTRF of the F11 blocks, the L21 TRSM
+    and the SYRK-shaped Schur GEMM."""
+    s_vec, u_vec, f11, _, f21, f22 = _make_block_batches(
+        device, symb, fids, buffers)
+    irr_potrf(device, f11, nb=nb)
+    smax, umax = int(s_vec.max()), int(u_vec.max())
+    if smax and umax:
+        irr_trsm(device, "R", "L", "T", "N", umax, smax, 1.0,
+                 f11, (0, 0), f21, (0, 0), name="irrpotrf:trsm")
+        irr_gemm(device, "N", "T", umax, umax, smax, -1.0,
+                 f21, (0, 0), f21, (0, 0), 1.0, f22, (0, 0),
+                 name="irrsyrk")
 
 
 def _factor_gpu(device: Device, a_perm: sp.csr_matrix,
                 symb: SymbolicFactorization, nb: int
                 ) -> tuple[CholeskyFactors, GpuFactorResult]:
-    buffers: dict = {}
-    with device.timed_region() as region:
-        for fids in symb.levels():
-            for fid in fids:
-                info = symb.fronts[fid]
-                buffers[fid] = device.zeros((info.order, info.order),
-                                            dtype=a_perm.dtype)
-            _assemble_level(device, a_perm, symb, fids, buffers)
-
-            s_vec = np.array([symb.fronts[f].sep_size for f in fids],
-                             dtype=np.int64)
-            u_vec = np.array([symb.fronts[f].upd_size for f in fids],
-                             dtype=np.int64)
-            f11 = IrrBatch(device, [buffers[f][:s, :s] for f, s in
-                                    zip(fids, s_vec)], s_vec, s_vec)
-            f21 = IrrBatch(device, [buffers[f][s:, :s] for f, s in
-                                    zip(fids, s_vec)], u_vec, s_vec)
-            f22 = IrrBatch(device, [buffers[f][s:, s:] for f, s in
-                                    zip(fids, s_vec)], u_vec, u_vec)
-            irr_potrf(device, f11, nb=nb)
-            smax, umax = int(s_vec.max()), int(u_vec.max())
-            if smax and umax:
-                irr_trsm(device, "R", "L", "T", "N", umax, smax, 1.0,
-                         f11, (0, 0), f21, (0, 0), name="irrpotrf:trsm")
-                irr_gemm(device, "N", "T", umax, umax, smax, -1.0,
-                         f21, (0, 0), f21, (0, 0), 1.0, f22, (0, 0),
-                         name="irrsyrk")
-
+    store = _FrontStore()
+    region = _traverse(device, a_perm, symb, [list(range(len(symb.fronts)))],
+                       partial(_llt_step, nb=nb), store)
+    check_gathered(a_perm, sum(store.gathered.values()))
     out = CholeskyFactors(symb=symb)
-    for fid, info in enumerate(symb.fronts):
-        s = info.sep_size
-        data = buffers[fid].to_host()
-        out.l11.append(np.tril(data[:s, :s]))
-        out.l21.append(data[s:, :s].copy())
-        buffers[fid].free()
+    for fid in range(len(symb.fronts)):
+        front = store.factors[fid]
+        out.l11.append(np.tril(front.f11))
+        out.l21.append(front.f21)
     counters = {k: region[k] for k in region if k != "elapsed"}
     res = GpuFactorResult(factors=None, elapsed=region["elapsed"],
                           counters=counters,

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 from ...batched.panel import PivotControl, factor_panel_block
 from ...errors import FactorizationError
 from ..symbolic.analysis import SymbolicFactorization
-from .factors import FrontFactors, MultifrontalFactors, assemble_front
-from .report import FactorReport
+from .factors import FrontFactors, MultifrontalFactors, host_traversal
+from .gpu_factor import FactorPolicy, _factor_report
 
 __all__ = ["multifrontal_factor_cpu", "factor_front_blocks"]
 
@@ -106,29 +106,15 @@ def multifrontal_factor_cpu(a_perm: sp.spmatrix,
     any front broke down un-recovered; ``breakdown="report"`` returns
     the (quarantined) factors with ``report.ok == False`` instead.
     """
-    if breakdown not in ("raise", "report"):
-        raise ValueError(f"unknown breakdown mode {breakdown!r}")
-    a_perm = sp.csr_matrix(a_perm)
-    schur: list[tuple[np.ndarray, np.ndarray] | None] = \
-        [None] * len(symb.fronts)
-    out = MultifrontalFactors(symb=symb)
+    policy = FactorPolicy(pivot_tol=pivot_tol, static_pivot=static_pivot,
+                          replace_scale=replace_scale, breakdown=breakdown)
+    fronts = []
 
-    for fid, info in enumerate(symb.fronts):
-        contribs = []
-        for c in info.children:
-            contribs.append(schur[c])
-            schur[c] = None
-        F = assemble_front(a_perm, info, [x for x in contribs if x])
+    def factor(fid, info, F):
         fac, S = factor_front_blocks(
-            F, info.sep_size, pivot_tol=pivot_tol,
-            static_pivot=static_pivot, replace_scale=replace_scale,
-            raise_on_breakdown=False)
-        out.fronts.append(fac)
-        if info.parent >= 0:
-            schur[fid] = (S, info.upd)
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
-    if breakdown == "raise" and not out.report.ok:
-        raise FactorizationError(out.report.summary(), out.report)
-    return out
+            F, info.sep_size, **policy.pivot_kw, raise_on_breakdown=False)
+        fronts.append(fac)
+        return S
+
+    host_traversal(sp.csr_matrix(a_perm), symb, factor)
+    return _factor_report(symb, fronts, policy)

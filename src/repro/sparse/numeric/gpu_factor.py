@@ -5,7 +5,9 @@ root, using batch algorithms for the dense linear algebra operations (LU,
 triangular solve and matrix multiplication) for all fronts on a given
 level."
 
-Three kernel strategies, matching the paper's comparisons:
+Every level runs the same computation — assembly, LU of F11, pivot
+application to F12, two TRSMs, the Schur GEMM — at one of three launch
+granularities, the rows of one launch table (:data:`_STRATEGIES`):
 
 * ``"batched"`` — the paper's contribution: per level, one assembly
   kernel, then irrLU on the pivot blocks, one pivot-application kernel,
@@ -23,11 +25,19 @@ Three kernel strategies, matching the paper's comparisons:
 Per-front pointer views (the F11/F12/F21/F22 blocks) are set up *once per
 level* on the host, which is exactly what the expanded interface makes
 cheap; no pointer-arithmetic kernels run on the device.
+
+Every device factorization — this module's, the sharded one
+(:mod:`.shard`) and the SPD variant (:mod:`repro.sparse.cholesky`) —
+walks the tree through one exception-safe traversal (:func:`_traverse`)
+of level transactions (:func:`_run_level`).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +46,7 @@ from ...batched.engine import resolve_engine
 from ...batched.gemm import irr_gemm
 from ...batched.getrf import irr_getrf
 from ...batched.interface import IrrBatch
-from ...batched.trsm import irr_trsm
+from ...batched.trsm import TRSM_BASE_NB, irr_trsm
 from ...batched.vendor import vendor_gemm, vendor_getrf, vendor_trsm
 from ...device.kernel import KernelCost
 from ...device.memory import DeviceArray, DeviceOutOfMemory, \
@@ -45,7 +55,8 @@ from ...device.simulator import Device
 from ...errors import CorruptionDetected, FactorizationError, \
     KernelLaunchError, ResourceExhausted
 from ..symbolic.analysis import SymbolicFactorization
-from .factors import FrontFactors, MultifrontalFactors
+from .factors import FrontFactors, MultifrontalFactors, check_gathered, \
+    gather_front
 from .report import FactorReport
 
 __all__ = ["multifrontal_factor_gpu", "GpuFactorResult", "plan_traversals",
@@ -60,6 +71,68 @@ _MAX_LEVEL_RETRIES = 3
 #: Bounded halvings of the out-of-core traversal budget after a dynamic
 #: device OOM before the device path is declared exhausted.
 _MAX_CHUNK_SHRINKS = 4
+
+
+@dataclass(frozen=True)
+class _Launches:
+    """How one strategy launches a level.  Fronts with ``sep_size <=
+    batch_limit`` run as one batch — irrLU (``getrf`` settings), pivot
+    application, two irrTRSMs, the Schur update (``schur=None``: the
+    caller's ``gemm_mode``) — on the caller's engine if ``engine``, else
+    the reference loops (the irrLU on :func:`irr_getrf`'s default
+    engine); the rest take the per-front vendor path.
+    ``sync``: synchronize after every batch operation and vendor front.
+    """
+
+    batch_limit: float
+    getrf: dict = field(default_factory=dict)
+    trsm_nb: int = TRSM_BASE_NB
+    trsm_names: tuple[str, str] = ("irrtrsm", "irrtrsm")
+    schur: str | None = "irr"
+    engine: bool = False
+    sync: bool = False
+
+
+_STRATEGIES = {
+    "batched": _Launches(
+        batch_limit=math.inf, getrf=dict(nb=32, laswp_variant="rehearsed"),
+        trsm_names=("irrtrsm:f12", "irrtrsm:f21"), schur=None,
+        engine=True),
+    "looped": _Launches(batch_limit=-1),
+    # the naive batch kernel: unblocked, column-wise, a launch per
+    # elementary operation (this is what "naive" costs)
+    "strumpack": _Launches(
+        batch_limit=STRUMPACK_BATCH_LIMIT,
+        getrf=dict(nb=8, panel="columnwise", laswp_variant="looped"),
+        trsm_nb=8, sync=True),
+}
+
+@dataclass(frozen=True)
+class FactorPolicy:
+    """A factorization's launch strategy, Schur GEMM mode and pivot
+    policy, validated on construction.  ``breakdown`` (raise or report
+    an unrecovered breakdown) does not change what runs, so it takes no
+    part in equality: a compiled program replays under either."""
+
+    strategy: str = "batched"
+    gemm_mode: str = "hybrid"
+    pivot_tol: float = 0.0
+    static_pivot: bool = False
+    replace_scale: float | None = None
+    breakdown: str = field(default="raise", compare=False)
+
+    def __post_init__(self):
+        if self.strategy not in _STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.gemm_mode not in ("irr", "vendor", "hybrid"):
+            raise ValueError(f"unknown gemm_mode {self.gemm_mode!r}")
+        if self.breakdown not in ("raise", "report"):
+            raise ValueError(f"unknown breakdown mode {self.breakdown!r}")
+
+    @property
+    def pivot_kw(self) -> dict:
+        return dict(pivot_tol=self.pivot_tol, static_pivot=self.static_pivot,
+                    replace_scale=self.replace_scale)
 
 
 @dataclass
@@ -79,13 +152,25 @@ class GpuFactorResult:
     report: "FactorReport | None" = None
 
 
+@dataclass
+class _FrontStore:
+    """Per-front host state of the traversals over one tree: pivots,
+    ``(info, n_replaced, min_pivot, growth)`` diagnostics, Schur blocks
+    crossing a traversal boundary, downloaded factors and the nonzero A
+    entries each front gathered (keyed by front, so retried and split
+    levels never count twice)."""
+
+    pivots: dict = field(default_factory=dict)
+    diags: dict = field(default_factory=dict)
+    schur: dict = field(default_factory=dict)
+    factors: dict = field(default_factory=dict)
+    gathered: dict = field(default_factory=dict)
+
+
 def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                             symb: SymbolicFactorization, *,
                             strategy: str = "batched",
                             gemm_mode: str = "hybrid",
-                            hybrid_cutoff: int = HYBRID_GEMM_CUTOFF,
-                            laswp_variant: str = "rehearsed",
-                            nb: int = 32,
                             memory_budget: int | None = None,
                             pivot_tol: float = 0.0,
                             static_pivot: bool = False,
@@ -141,20 +226,18 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     :class:`~repro.errors.FactorizationError` carrying the report is
     raised once the traversal completes; ``breakdown="report"`` returns
     the quarantined factors with ``report.ok == False``.
+
+    A matrix with nonzero entries outside the fronts of ``symb`` (e.g.
+    one not permuted the way the analysis was) raises
+    :class:`~repro.errors.PatternMismatch`.
     """
-    if strategy not in ("batched", "looped", "strumpack"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if gemm_mode not in ("irr", "vendor", "hybrid"):
-        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
-    if breakdown not in ("raise", "report"):
-        raise ValueError(f"unknown breakdown mode {breakdown!r}")
+    policy = FactorPolicy(strategy, gemm_mode, pivot_tol, static_pivot,
+                          replace_scale, breakdown)
     memory_budget = validate_memory_budget(memory_budget)
     a_perm = sp.csr_matrix(a_perm)
     if a_perm.shape[0] != symb.n:
         raise ValueError("matrix size does not match the symbolic analysis")
 
-    a_dev_bytes = a_perm.data.nbytes + a_perm.indices.nbytes + \
-        a_perm.indptr.nbytes
     engine = resolve_engine(engine)
     mark = device.recovery_log.mark()
 
@@ -167,14 +250,12 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     floor = max((itemsize * f.order ** 2 for f in symb.fronts), default=0)
 
     budget = memory_budget
-    host_factors = region = failure = None
+    store = region = failure = None
     n_chunks = 0
     for _round in range(_MAX_CHUNK_SHRINKS + 1):
         try:
-            host_factors, region, n_chunks = _attempt_factorization(
-                device, a_perm, symb, budget, a_dev_bytes, strategy,
-                gemm_mode, hybrid_cutoff, laswp_variant, nb, engine,
-                pivot_tol, static_pivot, replace_scale)
+            store, region, n_chunks = _attempt_factorization(
+                device, a_perm, symb, budget, policy, engine)
             break
         except KernelLaunchError as exc:
             failure = exc       # already retried per level: persistent,
@@ -195,27 +276,23 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                 engine.clear_plan_caches()
             budget = smaller
 
-    if host_factors is None:
+    if store is None:
         recovery = device.recovery_log.since(mark)
         if host_fallback:
             device.recovery_log.record(
                 "host-fallback", site="gpu_factor",
                 detail=f"{type(failure).__name__}: {failure}")
-            return _host_fallback_result(
-                device, a_perm, symb, mark, pivot_tol=pivot_tol,
-                static_pivot=static_pivot, replace_scale=replace_scale,
-                breakdown=breakdown)
+            return _host_fallback_result(device, a_perm, symb, mark, policy)
         raise ResourceExhausted(
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
 
-    return _package_result(device, symb, host_factors, region, mark,
-                           traversals=n_chunks, pivot_tol=pivot_tol,
-                           static_pivot=static_pivot,
-                           replace_scale=replace_scale, breakdown=breakdown)
+    check_gathered(a_perm, sum(store.gathered.values()))
+    return _package_result(device, symb, store.factors, region, mark,
+                           policy, traversals=n_chunks)
 
 
-def _front_factors(info, data: np.ndarray, ipiv: np.ndarray,
+def _front_factors(info, data: np.ndarray, ipiv: np.ndarray | None,
                    diag: tuple | None) -> FrontFactors:
     """Host factors of one front from its downloaded dense buffer and
     its ``(info, n_replaced, min_pivot, growth)`` diagnostics (``None``:
@@ -228,8 +305,7 @@ def _front_factors(info, data: np.ndarray, ipiv: np.ndarray,
         info=d_info, n_replaced=d_rep, min_pivot=d_minp, growth=d_growth)
 
 
-def _flush_fronts(symb, fids, buffers, pivots_of, diag_of, host_factors,
-                  host_schur) -> None:
+def _flush_fronts(symb, fids, buffers, store: _FrontStore) -> None:
     """Stream finished fronts back to the host: their factors, plus the
     Schur blocks a parent outside ``fids`` still has to assemble.  Frees
     each front's device buffer."""
@@ -237,41 +313,36 @@ def _flush_fronts(symb, fids, buffers, pivots_of, diag_of, host_factors,
     for fid in fids:
         info = symb.fronts[fid]
         data = buffers[fid].to_host()
-        host_factors[fid] = _front_factors(info, data, pivots_of[fid],
-                                           diag_of.get(fid))
+        store.factors[fid] = _front_factors(
+            info, data, store.pivots.get(fid), store.diags.get(fid))
         if info.parent >= 0 and info.parent not in fid_set \
                 and info.upd_size:
             s = info.sep_size
-            host_schur[fid] = data[s:, s:].copy()
+            store.schur[fid] = data[s:, s:].copy()
         buffers[fid].free()
         del buffers[fid]
 
 
-def _factor_report(symb, host_factors, recovery, *, pivot_tol,
-                   static_pivot, replace_scale,
-                   breakdown) -> MultifrontalFactors:
+def _factor_report(symb, fronts: list, policy: FactorPolicy,
+                   recovery=None) -> MultifrontalFactors:
     """Assemble the host factors and their :class:`FactorReport`;
     ``breakdown="raise"`` raises on an unrecovered pivot breakdown."""
-    out = MultifrontalFactors(symb=symb)
-    out.fronts = [host_factors[fid] for fid in range(len(symb.fronts))]
-    out.report = FactorReport.from_factors(
-        out, pivot_tol=pivot_tol, static_pivot=static_pivot,
-        replace_scale=replace_scale)
+    out = MultifrontalFactors(symb=symb, fronts=fronts)
+    out.report = FactorReport.from_factors(out, **policy.pivot_kw)
     out.report.recovery = recovery
-    if breakdown == "raise" and not out.report.ok:
+    if policy.breakdown == "raise" and not out.report.ok:
         raise FactorizationError(out.report.summary(), out.report)
     return out
 
 
-def _package_result(device, symb, host_factors, region, mark, *,
-                    traversals, pivot_tol, static_pivot, replace_scale,
-                    breakdown, counters_extra=None) -> GpuFactorResult:
+def _package_result(device, symb, host_factors, region, mark,
+                    policy: FactorPolicy, *, traversals,
+                    counters_extra=None) -> GpuFactorResult:
     """The report tail of a single-device factorization (bucketed
     traversal or compiled replay)."""
-    out = _factor_report(symb, host_factors,
-                         device.recovery_log.since(mark),
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
-                         replace_scale=replace_scale, breakdown=breakdown)
+    out = _factor_report(
+        symb, [host_factors[fid] for fid in range(len(symb.fronts))],
+        policy, device.recovery_log.since(mark))
     counters = {k: region[k] for k in region if k != "elapsed"}
     counters["traversals"] = traversals
     counters.update(counters_extra or {})
@@ -282,9 +353,7 @@ def _package_result(device, symb, host_factors, region, mark, *,
 
 
 def _attempt_factorization(device, a_perm, symb, memory_budget,
-                           a_dev_bytes, strategy, gemm_mode, hybrid_cutoff,
-                           laswp_variant, nb, engine, pivot_tol,
-                           static_pivot, replace_scale) -> tuple:
+                           policy: FactorPolicy, engine) -> tuple:
     """One full traversal under a given budget; exception-safe accounting.
 
     Any failure releases every device allocation this attempt made (the
@@ -293,47 +362,55 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     """
     chunks = plan_traversals(symb, memory_budget,
                              itemsize=a_perm.dtype.itemsize)
-    streaming = len(chunks) > 1
-
-    buffers: dict[int, DeviceArray] = {}
-    pivots_of: dict[int, np.ndarray] = {}
-    diag_of: dict[int, tuple[int, int, float, float]] = {}
-    host_schur: dict[int, np.ndarray] = {}
-    host_factors: dict[int, FrontFactors] = {}
-
+    store = _FrontStore()
+    a_dev_bytes = _csr_bytes(a_perm)
     # Upload the sparse matrix (outside the timed factorization region,
     # as a solver would hold A on the device already).
     device._claim(a_dev_bytes, site="gpu_factor:a_csr")
     try:
         device._account_transfer(a_dev_bytes)
+        region = _traverse(device, a_perm, symb, chunks,
+                           partial(_level_step, policy=policy,
+                                   engine=engine), store)
+        return store, region, len(chunks)
+    finally:
+        device._release(a_dev_bytes)
+
+
+def _csr_bytes(a: sp.csr_matrix) -> int:
+    """Device bytes of an uploaded CSR matrix."""
+    return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+def _traverse(device, a_perm, symb, chunks, step, store) -> dict:
+    """Factor ``chunks`` (postorder front lists, one traversal each)
+    level by level in one timed region, which it returns.  Each level is
+    a :func:`_run_level` transaction: allocate, assemble, then
+    ``step(device, symb, fids, buffers, store)``.  Several chunks
+    (out-of-core) stream each finished chunk to ``store`` inside the
+    region; a single chunk stays resident, as for a solve phase, and
+    downloads after it.  Frees every live front buffer on any exit.
+    """
+    buffers: dict[int, DeviceArray] = {}
+    streaming = len(chunks) > 1
+    try:
         with device.timed_region() as region:
             for chunk in chunks:
                 for level_fids in _chunk_levels(symb, chunk):
                     _run_level(device, a_perm, symb, level_fids, buffers,
-                               pivots_of, strategy, gemm_mode,
-                               hybrid_cutoff, laswp_variant, nb,
-                               host_schur=host_schur, engine=engine,
-                               diag_of=diag_of, pivot_tol=pivot_tol,
-                               static_pivot=static_pivot,
-                               replace_scale=replace_scale)
+                               store, step)
                 if streaming:
-                    _flush_fronts(symb, chunk, buffers, pivots_of, diag_of,
-                                  host_factors, host_schur)
+                    _flush_fronts(symb, chunk, buffers, store)
         if not streaming:
-            # Factors stayed resident (as a solver keeping them for the
-            # solve phase would); download outside the measured region.
-            _flush_fronts(symb, chunks[0], buffers, pivots_of, diag_of,
-                          host_factors, host_schur)
-        return host_factors, region, len(chunks)
+            _flush_fronts(symb, chunks[0], buffers, store)
+        return region
     finally:
         for arr in buffers.values():
             arr.free()
-        device._release(a_dev_bytes)
 
 
-def _host_fallback_result(device, a_perm, symb, mark, *, pivot_tol,
-                          static_pivot, replace_scale,
-                          breakdown) -> GpuFactorResult:
+def _host_fallback_result(device, a_perm, symb, mark,
+                          policy: FactorPolicy) -> GpuFactorResult:
     """Terminal rung of the recovery ladder: factor on the host.
 
     The result carries the same report/recovery surface as a device run
@@ -342,9 +419,8 @@ def _host_fallback_result(device, a_perm, symb, mark, *, pivot_tol,
     """
     from .cpu_factor import multifrontal_factor_cpu
     try:
-        factors = multifrontal_factor_cpu(
-            a_perm, symb, pivot_tol=pivot_tol, static_pivot=static_pivot,
-            replace_scale=replace_scale, breakdown=breakdown)
+        factors = multifrontal_factor_cpu(a_perm, symb, **policy.pivot_kw,
+                                          breakdown=policy.breakdown)
     except FactorizationError as exc:
         if exc.report is not None:
             exc.report.recovery = device.recovery_log.since(mark)
@@ -374,7 +450,6 @@ def plan_traversals(symb: SymbolicFactorization,
     front_bytes = [itemsize * f.order ** 2 for f in symb.fronts]
     biggest = max(front_bytes)
     if biggest > memory_budget:
-        from ...device.memory import DeviceOutOfMemory
         raise DeviceOutOfMemory(
             f"largest front needs {biggest} bytes but the traversal "
             f"budget is {memory_budget} bytes")
@@ -414,13 +489,11 @@ def _chunk_levels(symb: SymbolicFactorization,
 
 
 # ----------------------------------------------------------------------
-# level processing
+# level transactions
 # ----------------------------------------------------------------------
 
-def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
-               gemm_mode, hybrid_cutoff, laswp_variant, nb, *,
-               host_schur=None, engine=None, diag_of=None, pivot_tol=0.0,
-               static_pivot=False, replace_scale=None) -> None:
+def _run_level(device, a_perm, symb, fids, buffers, store: _FrontStore,
+               step) -> None:
     """Run one level as a transaction: bounded retries, then batch split.
 
     Level inputs are immutable while the level runs — children buffers
@@ -450,17 +523,13 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
     so the damage surfaces in the :class:`FactorReport` as a typed
     per-front failure rather than silently wrong numbers.
     """
-    kw = dict(host_schur=host_schur, engine=engine, diag_of=diag_of,
-              pivot_tol=pivot_tol, static_pivot=static_pivot,
-              replace_scale=replace_scale)
     launch_failures = alloc_failures = corrupt_failures = 0
     while True:
         try:
-            consumed = _factor_level(device, a_perm, symb, fids, buffers,
-                                     pivots_of, strategy, gemm_mode,
-                                     hybrid_cutoff, laswp_variant, nb, **kw)
+            consumed, _ = _factor_level(device, a_perm, symb, fids,
+                                        buffers, store, step)
         except CorruptionDetected as exc:
-            _rollback_level(fids, buffers, pivots_of, diag_of)
+            _rollback_level(fids, buffers, store)
             corrupt_failures += 1
             if corrupt_failures < 2:
                 device.recovery_log.record(
@@ -473,18 +542,12 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
                     "level-split", site=f"level[{len(fids)} fronts]",
                     detail=f"corruption isolation: sub-batches of "
                            f"{half} and {len(fids) - half}")
-                _run_level(device, a_perm, symb, fids[:half], buffers,
-                           pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                           laswp_variant, nb, **kw)
-                _run_level(device, a_perm, symb, fids[half:], buffers,
-                           pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                           laswp_variant, nb, **kw)
-                return
+                break
             _quarantine_corrupt_front(device, a_perm, symb, fids[0],
-                                      buffers, pivots_of, diag_of, exc)
+                                      buffers, store, exc)
             return
         except (DeviceOutOfMemory, KernelLaunchError) as exc:
-            _rollback_level(fids, buffers, pivots_of, diag_of)
+            _rollback_level(fids, buffers, store)
             if isinstance(exc, KernelLaunchError):
                 launch_failures += 1
                 if launch_failures >= _MAX_LEVEL_RETRIES:
@@ -505,20 +568,15 @@ def _run_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
             device.recovery_log.record(
                 "level-split", site=f"level[{len(fids)} fronts]",
                 detail=f"sub-batches of {half} and {len(fids) - half}")
-            _run_level(device, a_perm, symb, fids[:half], buffers,
-                       pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                       laswp_variant, nb, **kw)
-            _run_level(device, a_perm, symb, fids[half:], buffers,
-                       pivots_of, strategy, gemm_mode, hybrid_cutoff,
-                       laswp_variant, nb, **kw)
-            return
+            break
         else:
             # Commit: only now do consumed cross-traversal Schur blocks
             # leave the host store (they were needed for any retry).
-            if host_schur is not None:
-                for c in consumed:
-                    host_schur.pop(c, None)
+            for c in consumed:
+                store.schur.pop(c, None)
             return
+    _run_level(device, a_perm, symb, fids[:half], buffers, store, step)
+    _run_level(device, a_perm, symb, fids[half:], buffers, store, step)
 
 
 #: ``info`` sentinel for a front quarantined after persistent silent
@@ -528,7 +586,7 @@ CORRUPT_FRONT_INFO = -2
 
 
 def _quarantine_corrupt_front(device, a_perm, symb, fid, buffers,
-                              pivots_of, diag_of, exc) -> None:
+                              store: _FrontStore, exc) -> None:
     """Terminal corruption rung for one front: zero it out and flag it.
 
     The front's buffer is replaced by zeros (its Schur block then
@@ -542,69 +600,50 @@ def _quarantine_corrupt_front(device, a_perm, symb, fid, buffers,
     info = symb.fronts[fid]
     buffers[fid] = device.zeros((info.order, info.order),
                                 dtype=a_perm.dtype)
-    pivots_of[fid] = np.arange(info.sep_size, dtype=np.int64)
-    if diag_of is not None:
-        diag_of[fid] = (CORRUPT_FRONT_INFO, 0, 0.0, 1.0)
+    store.pivots[fid] = np.arange(info.sep_size, dtype=np.int64)
+    store.diags[fid] = (CORRUPT_FRONT_INFO, 0, 0.0, 1.0)
     device.recovery_log.record(
         "front-quarantine", site=f"front[{fid}]",
         detail=f"persistent corruption: {exc}")
 
 
-def _rollback_level(fids, buffers, pivots_of, diag_of) -> None:
+def _rollback_level(fids, buffers, store: _FrontStore) -> None:
     """Undo a failed level attempt: free its buffers, drop its outputs."""
     for fid in fids:
         arr = buffers.pop(fid, None)
         if arr is not None:
             arr.free()
-        pivots_of.pop(fid, None)
-        if diag_of is not None:
-            diag_of.pop(fid, None)
+        store.pivots.pop(fid, None)
+        store.diags.pop(fid, None)
 
 
-def _factor_level(device, a_perm, symb, fids, buffers, pivots_of, strategy,
-                  gemm_mode, hybrid_cutoff, laswp_variant, nb, *,
-                  host_schur=None, engine=None, diag_of=None,
-                  pivot_tol=0.0, static_pivot=False,
-                  replace_scale=None) -> list[int]:
-    infos = [symb.fronts[f] for f in fids]
-    for fid, info in zip(fids, infos):
+def _factor_level(device, a_perm, symb, fids, buffers, store: _FrontStore,
+                  step, phase=nullcontext) -> tuple:
+    """Allocate and assemble the level's fronts (inside ``phase()``),
+    then run ``step``; returns the consumed cross-traversal Schur blocks
+    and the step's result."""
+    for fid in fids:
+        info = symb.fronts[fid]
         buffers[fid] = device.zeros((info.order, info.order),
                                     dtype=a_perm.dtype)
-
-    consumed = _assemble_level(device, a_perm, symb, fids, buffers,
-                               host_schur=host_schur)
-
-    # Children buffers have been consumed by the extend-add; the factor
-    # blocks were already harvested... they are still needed for download,
-    # so buffers are retained until the end of the factorization.
-
-    if strategy == "batched":
-        _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
-                       hybrid_cutoff, laswp_variant, nb, engine=engine,
-                       diag_of=diag_of, pivot_tol=pivot_tol,
-                       static_pivot=static_pivot,
-                       replace_scale=replace_scale)
-    elif strategy == "looped":
-        _level_looped(device, symb, fids, buffers, pivots_of,
-                      diag_of=diag_of)
-    else:
-        _level_strumpack(device, symb, fids, buffers, pivots_of,
-                         laswp_variant, nb, diag_of=diag_of,
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
-                         replace_scale=replace_scale)
-    return consumed
+    with phase():
+        consumed = _assemble_level(device, a_perm, symb, fids, buffers,
+                                   store)
+    return consumed, step(device, symb, fids, buffers, store)
 
 
-def _assemble_level(device, a_perm, symb, fids, buffers, *,
-                    host_schur=None) -> list[int]:
+def _assemble_level(device, a_perm, symb, fids, buffers,
+                    store: _FrontStore) -> list[int]:
     """One kernel: gather A entries + extend-add children Schur blocks.
 
     Children factored in an earlier traversal (out-of-core mode) have
-    their Schur complements on the host; those are re-uploaded first
-    (H2D transfers the multi-traversal mode pays for) and used once.
-    Returns the consumed child ids — the *caller* deletes them from
-    ``host_schur`` once the level commits, so a retried level can
-    re-stage them.  Staged uploads are freed on any exit path.
+    their Schur complements in ``store.schur``; those are re-uploaded
+    first (H2D transfers the multi-traversal mode pays for) and used
+    once.  Returns the consumed child ids — the *caller* deletes them
+    from ``store.schur`` once the level commits, so a retried level can
+    re-stage them.  Staged uploads are freed on any exit path.  Each
+    front's count of gathered nonzero A entries goes to
+    ``store.gathered``.
     """
     infos = [symb.fronts[f] for f in fids]
 
@@ -617,12 +656,9 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
         for fid, info in zip(fids, infos):
             F = buffers[fid].data
             idx = info.indices
-            s = info.sep_size
             if info.order == 0:
                 continue
-            F[:s, :] = a_perm[idx[:s], :][:, idx].toarray()
-            if info.upd_size and s:
-                F[s:, :s] = a_perm[idx[s:], :][:, idx[:s]].toarray()
+            store.gathered[fid] = gather_front(a_perm, info, F)
             nbytes_w += F.nbytes
             if info.children:
                 pos = {int(g): l for l, g in enumerate(idx)}
@@ -645,11 +681,11 @@ def _assemble_level(device, a_perm, symb, fids, buffers, *,
                           kernel_class="swap", memory_ramp=0.4)
 
     try:
-        if host_schur:
+        if store.schur:
             for info in infos:
                 for c in info.children:
-                    if c in host_schur and c not in staged:
-                        staged[c] = device.from_host(host_schur[c])
+                    if c in store.schur and c not in staged:
+                        staged[c] = device.from_host(store.schur[c])
         device.launch("assemble:extend_add", kernel)
     finally:
         for arr in staged.values():
@@ -678,6 +714,155 @@ def _make_block_batches(device, symb, fids, buffers):
     f21 = IrrBatch(device, v21, u_vec, s_vec)
     f22 = IrrBatch(device, v22, u_vec, u_vec)
     return s_vec, u_vec, f11, f12, f21, f22
+
+
+# ----------------------------------------------------------------------
+# the level step
+# ----------------------------------------------------------------------
+
+def _level_step(device, symb, fids, buffers, store: _FrontStore, *,
+                policy: FactorPolicy, engine, phase=nullcontext):
+    """Factor one assembled level at ``policy.strategy``'s launch
+    granularity (its :data:`_STRATEGIES` row): the batched fronts, then
+    the per-front vendor path.  ``phase``, a context-manager factory,
+    wraps the batch's LU and its off-diagonal updates (the compiled
+    rehearsal records them as separate phases).  Returns the batch's
+    pivots and F11 batch, or ``None`` when nothing was batched.
+    """
+    row = _STRATEGIES[policy.strategy]
+    sync = device.synchronize if row.sync else (lambda: None)
+    eng = engine if row.engine else None
+    batch = [f for f in fids if symb.fronts[f].sep_size <= row.batch_limit]
+    out = None
+    if batch:
+        s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
+            device, symb, batch, buffers)
+        getrf_kw = dict(row.getrf, engine=eng) if row.engine else row.getrf
+        with phase():
+            piv = irr_getrf(device, f11, **getrf_kw, **policy.pivot_kw)
+        sync()
+        _record_batch(store, batch, piv)
+        with phase():
+            _batch_offdiag(device, row, row.schur or policy.gemm_mode, eng,
+                           sync, piv, s_vec, u_vec, f11, f12, f21, f22)
+        out = piv, f11
+    for fid in fids:
+        if symb.fronts[fid].sep_size > row.batch_limit:
+            _vendor_front(device, symb.fronts[fid], buffers[fid], fid, store)
+            sync()
+    return out
+
+
+def _record_batch(store: _FrontStore, fids, piv) -> None:
+    """Store each batched front's pivots and its ``(info, n_replaced,
+    min_pivot, growth)`` diagnostics."""
+    for i, fid in enumerate(fids):
+        store.pivots[fid] = piv.ipiv[i]
+        store.diags[fid] = (int(piv.info[i]), int(piv.n_replaced[i]),
+                            float(piv.min_pivot[i]), float(piv.growth[i]))
+
+
+def _batch_offdiag(device, row, gemm_mode, eng, sync, piv, s_vec, u_vec,
+                   f11, f12, f21, f22) -> None:
+    """Everything after the batched LU: breakdown gating, pivot
+    application to F12, the two TRSMs and the Schur update."""
+    if not (s_vec.max() and u_vec.max()):
+        return
+    # Gate broken-down fronts out of the off-diagonal updates: zero their
+    # blocks, then run TRSM/GEMM on the clean survivors only.  piv.info
+    # is bitwise identical between engines, so the gating (and every
+    # downstream launch) is too.
+    bad = np.nonzero(piv.info != 0)[0]
+    ipiv = piv.ipiv
+    if len(bad):
+        _quarantine_blocks(device, [(f12.matrix(int(i)), f21.matrix(int(i)),
+                                     f22.matrix(int(i))) for i in bad])
+        sync()
+        good = np.setdiff1d(np.arange(len(s_vec), dtype=np.int64), bad)
+        s_vec, u_vec = s_vec[good], u_vec[good]
+        f11, f12, f21, f22 = (_sub_batch(device, b, good)
+                              for b in (f11, f12, f21, f22))
+        ipiv = [ipiv[int(i)] for i in good]
+        if not (len(good) and s_vec.max() and u_vec.max()):
+            return
+    smax, umax = int(s_vec.max()), int(u_vec.max())
+
+    _apply_pivots_to_f12(device, f12, ipiv, engine=eng)
+    sync()
+    irr_trsm(device, "L", "L", "N", "U", smax, umax, 1.0,
+             f11, (0, 0), f12, (0, 0), base_nb=row.trsm_nb,
+             name=row.trsm_names[0], engine=eng)
+    sync()
+    irr_trsm(device, "R", "U", "N", "N", umax, smax, 1.0,
+             f11, (0, 0), f21, (0, 0), base_nb=row.trsm_nb,
+             name=row.trsm_names[1], engine=eng)
+    sync()
+
+    # Schur update: irrGEMM over the fronts at or below the mode's
+    # cutoff, the vendor GEMM loop over the rest (Fig 14's hybrid; the
+    # cutoff is read here so patching HYBRID_GEMM_CUTOFF moves it).
+    cutoff = {"irr": math.inf, "vendor": -1,
+              "hybrid": HYBRID_GEMM_CUTOFF}[gemm_mode]
+    width = np.maximum(s_vec, u_vec)
+    small = np.nonzero(width <= cutoff)[0]
+    if len(small):
+        irr_gemm(device, "N", "N",
+                 int(u_vec[small].max()), int(u_vec[small].max()),
+                 int(s_vec[small].max()), -1.0,
+                 _sub_batch(device, f21, small), (0, 0),
+                 _sub_batch(device, f12, small), (0, 0), 1.0,
+                 _sub_batch(device, f22, small), (0, 0),
+                 name="irrgemm:schur", engine=eng)
+    for i in np.nonzero(width > cutoff)[0]:
+        s, u = f12.local_dims(i)
+        if s and u:
+            vendor_gemm(device, "N", "N", -1.0, f21.arrays[i].data,
+                        f12.arrays[i].data, 1.0, f22.arrays[i].data,
+                        name="cublas_gemm:schur")
+    sync()
+
+
+def _vendor_front(device, info, arr: DeviceArray, fid,
+                  store: _FrontStore) -> None:
+    """cuSOLVER/cuBLAS calls for one front.
+
+    The vendor model has no static-pivot mode (cuSOLVER does not), but
+    its ``devInfo`` status is checked: a broken-down front is
+    quarantined (F12/F21/F22 zeroed, off-diagonal updates skipped) and
+    reported through its diagnostics instead of feeding garbage onward.
+    """
+    s, u = info.sep_size, info.upd_size
+    if s == 0:
+        store.pivots[fid] = np.empty(0, dtype=np.int64)
+        return
+    F = arr.data
+    status = np.zeros(1, dtype=np.int64)
+    ipiv = vendor_getrf(device, arr[:s, :s], info_out=status)
+    store.pivots[fid] = ipiv
+    store.diags[fid] = (int(status[0]), 0, np.inf, 1.0)
+    if int(status[0]) != 0:
+        if u:
+            _quarantine_blocks(device, [(F[:s, s:], F[s:, :s], F[s:, s:])])
+        return
+    if u == 0:
+        return
+
+    def laswp() -> KernelCost:
+        b = F[:s, s:]
+        for r in range(s):
+            p = int(ipiv[r])
+            if p != r:
+                b[[r, p], :] = b[[p, r], :]
+        return KernelCost(bytes_read=b.nbytes, bytes_written=b.nbytes,
+                          blocks=1, kernel_class="swap", memory_ramp=0.3)
+
+    device.launch("laswp:f12", laswp)
+    vendor_trsm(device, "L", "L", "N", "U", 1.0, F[:s, :s], F[:s, s:],
+                name="cusolver_trsm:f12")
+    vendor_trsm(device, "R", "U", "N", "N", 1.0, F[:s, :s], F[s:, :s],
+                name="cusolver_trsm:f21")
+    vendor_gemm(device, "N", "N", -1.0, F[s:, :s], F[:s, s:], 1.0,
+                F[s:, s:], name="cublas_gemm:schur")
 
 
 def _apply_pivots_to_f12(device, f12: IrrBatch, pivots: list[np.ndarray],
@@ -713,246 +898,24 @@ def _sub_batch(device, b: IrrBatch, sel: np.ndarray) -> IrrBatch:
                     b.m_vec[sel], b.n_vec[sel])
 
 
-def _quarantine_broken(device, bad, *batches) -> None:
-    """One kernel: zero the given blocks of broken-down fronts.
+def _quarantine_blocks(device, fronts: list[tuple]) -> None:
+    """One kernel: zero the F12/F21/F22 blocks of broken-down fronts.
 
     A front whose pivot block reported an unrecovered breakdown holds
     garbage in the columns at and beyond the breakdown; zeroing its
-    F12/F21 factors and F22 Schur block keeps the extend-add (and any
+    off-diagonal factors and Schur block keeps the extend-add (and any
     later solve attempt) finite.  Engine-independent, so both engines
     emit the identical launch.
     """
 
     def kernel() -> KernelCost:
         nbytes = 0.0
-        for i in bad:
-            for b in batches:
-                view = b.matrix(int(i))
+        for views in fronts:
+            for view in views:
                 view[...] = 0.0
                 nbytes += view.nbytes
-        return KernelCost(bytes_written=nbytes, blocks=max(len(bad), 1),
+        return KernelCost(bytes_written=nbytes, blocks=max(len(fronts), 1),
                           threads_per_block=256, kernel_class="swap",
                           memory_ramp=0.4)
 
     device.launch("breakdown:quarantine", kernel)
-
-
-def _record_level_diag(diag_of, fids, piv) -> None:
-    """Propagate each front's per-matrix pivot diagnostics (satellite of
-    the robustness layer: the level loop previously never read
-    ``pivots.info``)."""
-    if diag_of is None:
-        return
-    for i, fid in enumerate(fids):
-        diag_of[fid] = (int(piv.info[i]), int(piv.n_replaced[i]),
-                        float(piv.min_pivot[i]), float(piv.growth[i]))
-
-
-def _level_batched(device, symb, fids, buffers, pivots_of, gemm_mode,
-                   hybrid_cutoff, laswp_variant, nb, *, engine=None,
-                   diag_of=None, pivot_tol=0.0, static_pivot=False,
-                   replace_scale=None) -> None:
-    s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
-        device, symb, fids, buffers)
-
-    piv = irr_getrf(device, f11, nb=nb, laswp_variant=laswp_variant,
-                    pivot_tol=pivot_tol, static_pivot=static_pivot,
-                    replace_scale=replace_scale, engine=engine)
-    for fid, ip in zip(fids, piv.ipiv):
-        pivots_of[fid] = ip
-    _record_level_diag(diag_of, fids, piv)
-    _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
-                   piv, gemm_mode, hybrid_cutoff, engine=engine)
-
-
-def _level_offdiag(device, symb, fids, s_vec, u_vec, f11, f12, f21, f22,
-                   piv, gemm_mode, hybrid_cutoff, *, engine=None) -> None:
-    """The off-diagonal updates of one batched level (everything after
-    the pivot-block LU): breakdown gating, pivot application to F12, the
-    two TRSMs and the Schur GEMM.  Split out of :func:`_level_batched`
-    so the compiled-workload path can record it as its own step run."""
-    smax = int(s_vec.max()) if len(s_vec) else 0
-    umax = int(u_vec.max()) if len(u_vec) else 0
-    if umax == 0 or smax == 0:
-        return
-
-    # Gate broken-down fronts out of the off-diagonal updates: zero their
-    # blocks, then run TRSM/GEMM on the clean survivors only.  piv.info
-    # is bitwise identical between engines, so the gating (and every
-    # downstream launch) is too.
-    bad = np.nonzero(piv.info != 0)[0]
-    piv_list = piv.ipiv
-    if len(bad):
-        _quarantine_broken(device, bad, f12, f21, f22)
-        good = np.setdiff1d(np.arange(len(fids), dtype=np.int64), bad)
-        if not len(good):
-            return
-        s_vec, u_vec = s_vec[good], u_vec[good]
-        f11 = _sub_batch(device, f11, good)
-        f12 = _sub_batch(device, f12, good)
-        f21 = _sub_batch(device, f21, good)
-        f22 = _sub_batch(device, f22, good)
-        piv_list = [piv.ipiv[int(i)] for i in good]
-        smax = int(s_vec.max())
-        umax = int(u_vec.max())
-        if umax == 0 or smax == 0:
-            return
-
-    _apply_pivots_to_f12(device, f12, piv_list, engine=engine)
-    irr_trsm(device, "L", "L", "N", "U", smax, umax, 1.0,
-             f11, (0, 0), f12, (0, 0), name="irrtrsm:f12", engine=engine)
-    irr_trsm(device, "R", "U", "N", "N", umax, smax, 1.0,
-             f11, (0, 0), f21, (0, 0), name="irrtrsm:f21", engine=engine)
-
-    if gemm_mode == "irr":
-        irr_gemm(device, "N", "N", umax, umax, smax, -1.0, f21, (0, 0),
-                 f12, (0, 0), 1.0, f22, (0, 0), name="irrgemm:schur",
-                 engine=engine)
-    elif gemm_mode == "vendor":
-        _vendor_gemm_loop(device, fids, symb, f12, f21, f22,
-                          range(len(f12)))
-    else:  # hybrid (Fig 14)
-        small = [i for i in range(len(f12))
-                 if max(s_vec[i], u_vec[i]) <= hybrid_cutoff]
-        large = [i for i in range(len(f12))
-                 if max(s_vec[i], u_vec[i]) > hybrid_cutoff]
-        if small:
-            sel = np.array(small, dtype=np.int64)
-            irr_gemm(device, "N", "N",
-                     int(u_vec[sel].max()), int(u_vec[sel].max()),
-                     int(s_vec[sel].max()), -1.0,
-                     _sub_batch(device, f21, sel), (0, 0),
-                     _sub_batch(device, f12, sel), (0, 0), 1.0,
-                     _sub_batch(device, f22, sel), (0, 0),
-                     name="irrgemm:schur", engine=engine)
-        _vendor_gemm_loop(device, fids, symb, f12, f21, f22, large)
-
-
-def _vendor_gemm_loop(device, fids, symb, f12, f21, f22, which) -> None:
-    for i in which:
-        s, u = f12.local_dims(i)
-        if s == 0 or u == 0:
-            continue
-        vendor_gemm(device, "N", "N", -1.0, f21.arrays[i].data,
-                    f12.arrays[i].data, 1.0, f22.arrays[i].data,
-                    name="cublas_gemm:schur")
-
-
-def _level_looped(device, symb, fids, buffers, pivots_of, *,
-                  diag_of=None) -> None:
-    """cuSOLVER/cuBLAS called in a loop over the level's fronts.
-
-    The vendor model has no static-pivot mode (cuSOLVER does not), but
-    its ``devInfo`` status is checked per front: a broken-down front is
-    quarantined (F12/F21/F22 zeroed, off-diagonal updates skipped) and
-    reported through ``diag_of`` instead of feeding garbage onward.
-    """
-    info_arr = np.zeros(1, dtype=np.int64)
-    for fid in fids:
-        info = symb.fronts[fid]
-        s, u = info.sep_size, info.upd_size
-        arr = buffers[fid]
-        if s == 0:
-            pivots_of[fid] = np.empty(0, dtype=np.int64)
-            continue
-        info_arr[0] = 0
-        ipiv = vendor_getrf(device, arr[:s, :s], info_out=info_arr)
-        pivots_of[fid] = ipiv
-        if diag_of is not None:
-            diag_of[fid] = (int(info_arr[0]), 0, np.inf, 1.0)
-        if int(info_arr[0]) != 0:
-            if u:
-                def zero_blocks(arr=arr, s=s) -> KernelCost:
-                    arr.data[:s, s:] = 0.0
-                    arr.data[s:, :s] = 0.0
-                    arr.data[s:, s:] = 0.0
-                    return KernelCost(
-                        bytes_written=float(arr.data.nbytes -
-                                            s * s * arr.data.itemsize),
-                        blocks=1, kernel_class="swap", memory_ramp=0.4)
-
-                device.launch("breakdown:quarantine", zero_blocks)
-            continue
-        if u == 0:
-            continue
-        _apply_pivots_single(device, arr.data[:s, s:], ipiv)
-        vendor_trsm(device, "L", "L", "N", "U", 1.0, arr.data[:s, :s],
-                    arr.data[:s, s:], name="cusolver_trsm:f12")
-        vendor_trsm(device, "R", "U", "N", "N", 1.0, arr.data[:s, :s],
-                    arr.data[s:, :s], name="cusolver_trsm:f21")
-        vendor_gemm(device, "N", "N", -1.0, arr.data[s:, :s],
-                    arr.data[:s, s:], 1.0, arr.data[s:, s:],
-                    name="cublas_gemm:schur")
-
-
-def _apply_pivots_single(device, b: np.ndarray, ipiv: np.ndarray) -> None:
-    def kernel() -> KernelCost:
-        for r in range(len(ipiv)):
-            p = int(ipiv[r])
-            if p != r:
-                b[[r, p], :] = b[[p, r], :]
-        return KernelCost(bytes_read=b.nbytes, bytes_written=b.nbytes,
-                          blocks=1, kernel_class="swap", memory_ramp=0.3)
-
-    device.launch("laswp:f12", kernel)
-
-
-def _level_strumpack(device, symb, fids, buffers, pivots_of,
-                     laswp_variant, nb, *, diag_of=None, pivot_tol=0.0,
-                     static_pivot=False, replace_scale=None) -> None:
-    """STRUMPACK v6.3.1 model: naive batch kernels for pivot blocks
-    ≤ 32×32, looped vendor calls above, and a synchronization after every
-    operation."""
-    small = [f for f in fids
-             if symb.fronts[f].sep_size <= STRUMPACK_BATCH_LIMIT]
-    large = [f for f in fids
-             if symb.fronts[f].sep_size > STRUMPACK_BATCH_LIMIT]
-
-    if small:
-        s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
-            device, symb, small, buffers)
-        # the naive batch kernel: unblocked, column-wise, a launch per
-        # elementary operation (this is what "naive" costs).
-        piv = irr_getrf(device, f11, nb=max(1, nb // 4),
-                        panel="columnwise", laswp_variant="looped",
-                        pivot_tol=pivot_tol, static_pivot=static_pivot,
-                        replace_scale=replace_scale)
-        device.synchronize()
-        for fid, ip in zip(small, piv.ipiv):
-            pivots_of[fid] = ip
-        _record_level_diag(diag_of, small, piv)
-        smax = int(s_vec.max()) if len(s_vec) else 0
-        umax = int(u_vec.max()) if len(u_vec) else 0
-        if smax and umax:
-            bad = np.nonzero(piv.info != 0)[0]
-            piv_list = piv.ipiv
-            good = np.arange(len(small), dtype=np.int64)
-            if len(bad):
-                _quarantine_broken(device, bad, f12, f21, f22)
-                device.synchronize()
-                good = np.setdiff1d(good, bad)
-                s_vec, u_vec = s_vec[good], u_vec[good]
-                f11 = _sub_batch(device, f11, good)
-                f12 = _sub_batch(device, f12, good)
-                f21 = _sub_batch(device, f21, good)
-                f22 = _sub_batch(device, f22, good)
-                piv_list = [piv.ipiv[int(i)] for i in good]
-                smax = int(s_vec.max()) if len(s_vec) else 0
-                umax = int(u_vec.max()) if len(u_vec) else 0
-        if smax and umax and len(good):
-            _apply_pivots_to_f12(device, f12, piv_list)
-            device.synchronize()
-            irr_trsm(device, "L", "L", "N", "U", smax, umax, 1.0,
-                     f11, (0, 0), f12, (0, 0), base_nb=8)
-            device.synchronize()
-            irr_trsm(device, "R", "U", "N", "N", umax, smax, 1.0,
-                     f11, (0, 0), f21, (0, 0), base_nb=8)
-            device.synchronize()
-            irr_gemm(device, "N", "N", umax, umax, smax, -1.0, f21, (0, 0),
-                     f12, (0, 0), 1.0, f22, (0, 0), name="irrgemm:schur")
-            device.synchronize()
-
-    for fid in large:
-        _level_looped(device, symb, [fid], buffers, pivots_of,
-                      diag_of=diag_of)
-        device.synchronize()

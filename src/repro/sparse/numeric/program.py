@@ -27,20 +27,24 @@ that payload.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 
 from ...batched.engine import BatchEngine
-from ...batched.getrf import irr_getrf
 from ...batched.panel import _batch_abs_max
 from ...batched.program import CompileError, GuardTripped, PayloadMismatch, \
     _HostStep, _Recorder, _fuse_steps, _growth_epilogue, _reset_pivots, \
     _resolve_compile_engine
 from ...device.simulator import Device
 from ..symbolic.analysis import SymbolicFactorization
-from .gpu_factor import GpuFactorResult, _assemble_level, _chunk_levels, \
-    _front_factors, _level_offdiag, _make_block_batches, _package_result, \
-    _record_level_diag
+from .factors import check_gathered
+from .gpu_factor import FactorPolicy, GpuFactorResult, _FrontStore, \
+    _chunk_levels, _csr_bytes, _factor_level, _front_factors, \
+    _level_step, _package_result, _record_batch
 
 __all__ = ["FactorProgram", "compile_factor_program"]
 
@@ -54,13 +58,13 @@ class FactorProgram:
     """
 
     def __init__(self, device: Device, symb: SymbolicFactorization,
-                 a_csr: sp.csr_matrix, a_dev_bytes: int, buffers: dict,
-                 steps: list, level_diags: list, policy: tuple,
+                 a_csr: sp.csr_matrix, buffers: dict, steps: list,
+                 level_diags: list, policy: FactorPolicy,
                  engine: BatchEngine):
         self.device = device
         self.symb = symb
         self.a_csr = a_csr                  # .data overwritten per replay
-        self.a_dev_bytes = a_dev_bytes
+        self.a_dev_bytes = _csr_bytes(a_csr)
         self.policy = policy
         self.engine = engine
         self.runs = 0
@@ -72,38 +76,32 @@ class FactorProgram:
         self._freed = False
 
     # -- signature matching -------------------------------------------
-    def matches(self, a_perm: sp.spmatrix, policy: tuple) -> bool:
+    def matches(self, a_perm: sp.spmatrix, policy: FactorPolicy) -> bool:
         """True when ``a_perm`` shares the compiled structure and the
         factorization policy is identical."""
-        if policy != self.policy or not sp.issparse(a_perm):
-            return False
-        a = a_perm if isinstance(a_perm, sp.csr_matrix) \
-            else sp.csr_matrix(a_perm)
-        return (a.shape == self.a_csr.shape
-                and a.dtype == self.a_csr.dtype
+        return policy == self.policy and sp.issparse(a_perm) \
+            and self._same_structure(sp.csr_matrix(a_perm))
+
+    def _same_structure(self, a: sp.csr_matrix) -> bool:
+        return (a.shape == self.a_csr.shape and a.dtype == self.a_csr.dtype
                 and np.array_equal(a.indptr, self._indptr)
                 and np.array_equal(a.indices, self._indices))
 
     # -- execution -----------------------------------------------------
-    def run(self, a_perm: sp.spmatrix, *, pivot_tol: float = 0.0,
-            static_pivot: bool = False, replace_scale: float | None = None,
+    def run(self, a_perm: sp.spmatrix, *,
             breakdown: str = "raise") -> GpuFactorResult:
         """Replay the schedule on a same-structure matrix.
 
-        The breakdown-policy keywords must match the compiled policy
-        (they are baked into the recorded pivot state); they are
-        re-accepted here only so the caller's report carries them.
-        Raises :class:`PayloadMismatch` on a structure/dtype deviation
-        and :class:`GuardTripped` when a front breaks down (the
-        schedule recorded the breakdown-free launch sequence).
+        The pivot policy is the compiled one (it is baked into the
+        recorded pivot state).  Raises :class:`PayloadMismatch` on a
+        structure/dtype deviation and :class:`GuardTripped` when a front
+        breaks down (the schedule recorded the breakdown-free launch
+        sequence).
         """
         if self._freed:
             raise RuntimeError("cannot run a freed FactorProgram")
-        a = a_perm if isinstance(a_perm, sp.csr_matrix) \
-            else sp.csr_matrix(a_perm)
-        if a.shape != self.a_csr.shape or a.dtype != self.a_csr.dtype \
-                or not np.array_equal(a.indptr, self._indptr) \
-                or not np.array_equal(a.indices, self._indices):
+        a = sp.csr_matrix(a_perm)
+        if not self._same_structure(a):
             raise PayloadMismatch(
                 "matrix does not share the compiled sparse structure "
                 "(shape/dtype/indptr/indices)")
@@ -122,16 +120,12 @@ class FactorProgram:
             raise
         self.runs += 1
 
-        diag_of: dict[int, tuple] = {}
-        pivots_of: dict[int, np.ndarray] = {}
+        store = _FrontStore()
         for fids, piv in self._level_diags:
-            _record_level_diag(diag_of, fids, piv)
-            for fid, ip in zip(fids, piv.ipiv):
-                pivots_of[fid] = ip
+            _record_batch(store, fids, piv)
         return _download_result(
-            device, self.symb, self._buffers, pivots_of, diag_of, region,
-            mark, pivot_tol=pivot_tol, static_pivot=static_pivot,
-            replace_scale=replace_scale, breakdown=breakdown,
+            device, self.symb, self._buffers, store, region, mark,
+            replace(self.policy, breakdown=breakdown),
             counters_extra={"compiled_replay": 1})
 
     def free(self) -> None:
@@ -144,24 +138,21 @@ class FactorProgram:
         self.device._release(self.a_dev_bytes)
 
 
-def _download_result(device, symb, buffers, pivots_of, diag_of, region,
-                     mark, **kw) -> GpuFactorResult:
+def _download_result(device, symb, buffers, store, region, mark, policy,
+                     **kw) -> GpuFactorResult:
     """Download every front (the buffers and pivot arrays persist
     across replays, so the host factors are copies) and report."""
     host_factors = {
         fid: _front_factors(symb.fronts[fid], buffers[fid].to_host(),
-                            pivots_of[fid].copy(), diag_of.get(fid))
+                            store.pivots[fid].copy(), store.diags.get(fid))
         for fid in range(len(symb.fronts))}
     return _package_result(device, symb, host_factors, region, mark,
-                           traversals=1, **kw)
+                           policy, traversals=1, **kw)
 
 
 def compile_factor_program(device: Device, a_perm: sp.spmatrix,
                            symb: SymbolicFactorization, *,
                            gemm_mode: str = "hybrid",
-                           hybrid_cutoff: int = 256,
-                           laswp_variant: str = "rehearsed",
-                           nb: int = 32,
                            pivot_tol: float = 0.0,
                            static_pivot: bool = False,
                            replace_scale: float | None = None,
@@ -179,58 +170,45 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
     the result is still valid.  The in-core single-traversal regime only
     (use ``multifrontal_factor_gpu`` for out-of-core budgets).
     """
-    if gemm_mode not in ("irr", "vendor", "hybrid"):
-        raise CompileError(f"unknown gemm_mode {gemm_mode!r}")
-    if breakdown not in ("raise", "report"):
-        raise CompileError(f"unknown breakdown mode {breakdown!r}")
+    policy = FactorPolicy("batched", gemm_mode, pivot_tol, static_pivot,
+                          replace_scale, breakdown)
     eng = _resolve_compile_engine(engine)
     a_csr = sp.csr_matrix(a_perm).copy()
     if a_csr.shape[0] != symb.n:
         raise CompileError("matrix size does not match the symbolic "
                            "analysis")
-    a_dev_bytes = a_csr.data.nbytes + a_csr.indices.nbytes + \
-        a_csr.indptr.nbytes
-    policy = (gemm_mode, int(hybrid_cutoff), laswp_variant, int(nb),
-              float(pivot_tol), bool(static_pivot),
-              None if replace_scale is None else float(replace_scale))
-    dtype = a_csr.dtype
-    tiny = float(np.finfo(dtype).tiny)
+    tiny = float(np.finfo(a_csr.dtype).tiny)
     mark = device.recovery_log.mark()
 
-    device._claim(a_dev_bytes, site="gpu_factor:a_csr")
+    device._claim(_csr_bytes(a_csr), site="gpu_factor:a_csr")
     buffers: dict = {}
     steps: list = []
     level_diags: list = []
+    store = _FrontStore()
     ok = True
     rec = _Recorder(device)
+    phases: list = []
+
+    @contextmanager
+    def phase():
+        with rec:
+            yield
+        phases.append(rec.take())
+
+    step = partial(_level_step, policy=policy, engine=eng, phase=phase)
     try:
-        device._account_transfer(a_dev_bytes)
+        device._account_transfer(_csr_bytes(a_csr))
         with device.timed_region() as region:
-            all_fids = list(range(len(symb.fronts)))
-            for fids in _chunk_levels(symb, all_fids):
-                for fid in fids:
-                    info = symb.fronts[fid]
-                    buffers[fid] = device.zeros((info.order, info.order),
-                                                dtype=dtype)
+            for fids in _chunk_levels(symb, list(range(len(symb.fronts)))):
+                _, (piv, f11) = _factor_level(device, a_csr, symb, fids,
+                                              buffers, store, step, phase)
+                assemble_steps, getrf_steps, offdiag_steps = phases
+                phases.clear()
 
                 def zero_fill(fids=tuple(fids)) -> None:
                     for fid in fids:
                         buffers[fid].data[...] = 0.0
 
-                with rec:
-                    _assemble_level(device, a_csr, symb, fids, buffers)
-                assemble_steps = rec.take()
-
-                s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
-                    device, symb, fids, buffers)
-                with rec:
-                    piv = irr_getrf(device, f11, nb=nb,
-                                    laswp_variant=laswp_variant,
-                                    pivot_tol=pivot_tol,
-                                    static_pivot=static_pivot,
-                                    replace_scale=replace_scale,
-                                    engine=eng)
-                getrf_steps = rec.take()
                 level_diags.append((list(fids), piv))
                 if np.any(piv.info != 0):
                     ok = False     # breakdown-free schedule impossible
@@ -252,12 +230,6 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
                             f"factors — fall back to the bucketed path",
                             info=piv.info.copy())
 
-                with rec:
-                    _level_offdiag(device, symb, fids, s_vec, u_vec,
-                                   f11, f12, f21, f22, piv, gemm_mode,
-                                   hybrid_cutoff, engine=eng)
-                offdiag_steps = rec.take()
-
                 if ok:
                     steps.append(_HostStep(zero_fill))
                     steps.extend(assemble_steps)
@@ -268,36 +240,28 @@ def compile_factor_program(device: Device, a_perm: sp.spmatrix,
                     steps.append(_HostStep(growth))
                     steps.append(_HostStep(guard))
                     steps.extend(offdiag_steps)
+        check_gathered(a_csr, sum(store.gathered.values()))
     except Exception:
         for arr in buffers.values():
             arr.free()
-        device._release(a_dev_bytes)
+        device._release(_csr_bytes(a_csr))
         raise
-
-    diag_of: dict[int, tuple] = {}
-    pivots_of: dict[int, np.ndarray] = {}
-    for fids, piv in level_diags:
-        _record_level_diag(diag_of, fids, piv)
-        for fid, ip in zip(fids, piv.ipiv):
-            pivots_of[fid] = ip
 
     program = None
     if ok:
         program = FactorProgram(
-            device, symb, a_csr, a_dev_bytes, buffers,
+            device, symb, a_csr, buffers,
             _fuse_steps(steps) if fuse else steps, level_diags, policy,
             eng)
     try:
-        result = _download_result(
-            device, symb, buffers, pivots_of, diag_of, region, mark,
-            pivot_tol=pivot_tol, static_pivot=static_pivot,
-            replace_scale=replace_scale, breakdown=breakdown,
-            counters_extra={"compiled": 1})
+        result = _download_result(device, symb, buffers, store, region,
+                                  mark, policy,
+                                  counters_extra={"compiled": 1})
     finally:
         if not ok:
             # rehearsal broke down: no replayable schedule, release the
             # would-be persistent state (after the downloads above)
             for arr in buffers.values():
                 arr.free()
-            device._release(a_dev_bytes)
+            device._release(_csr_bytes(a_csr))
     return program, result

@@ -11,11 +11,11 @@ This module is the single-node, multi-GPU realisation of that design:
 * :func:`partition_tree` splits the assembly tree into the top
   ``⌈log₂ P⌉`` levels plus rank-local subtrees, assigned to devices by
   longest-processing-time on their flop counts;
-* each device factors its subtrees with the *same* level transactions
-  as the single-device path (:func:`~.gpu_factor._run_level`: bounded
-  retries, batch splitting, corruption quarantine, and the full pivot
-  policy — ``pivot_tol`` / ``static_pivot`` / ``replace_scale``), on
-  its own simulated timeline;
+* each device factors its subtrees with the *same* traversal as the
+  single-device path (:func:`~.gpu_factor._traverse`: level
+  transactions with bounded retries, batch splitting, corruption
+  quarantine, and the full pivot policy — ``pivot_tol`` /
+  ``static_pivot`` / ``replace_scale``), on its own simulated timeline;
 * subtree-root Schur contributions ship to the owner device over the
   node's modeled links (:meth:`~repro.device.node.Node.transfer`), and
   the top part is factored there with the batched kernels (the
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,9 +46,9 @@ from ...device.simulator import Device
 from ...device.spec import XEON_6140_2S
 from ...recovery import RecoveryLog
 from ..symbolic.analysis import SymbolicFactorization
-from .factors import FrontFactors, MultifrontalFactors
-from .gpu_factor import HYBRID_GEMM_CUTOFF, _chunk_levels, \
-    _factor_report, _flush_fronts, _run_level
+from .factors import MultifrontalFactors, check_gathered
+from .gpu_factor import FactorPolicy, _FrontStore, _csr_bytes, \
+    _factor_report, _level_step, _traverse
 from .report import FactorReport
 
 __all__ = ["partition_tree", "RankAssignment",
@@ -55,7 +56,7 @@ __all__ = ["partition_tree", "RankAssignment",
 
 
 # ----------------------------------------------------------------------
-# tree partitioning (shared by the sharded and the simulated-MPI paths)
+# tree partitioning
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -170,8 +171,6 @@ class ShardedFactorResult:
 def multifrontal_factor_sharded(
         node: Node, a_perm: sp.spmatrix, symb: SymbolicFactorization, *,
         strategy: str = "batched", gemm_mode: str = "hybrid",
-        hybrid_cutoff: int = HYBRID_GEMM_CUTOFF,
-        laswp_variant: str = "rehearsed", nb: int = 32,
         pivot_tol: float = 0.0, static_pivot: bool = False,
         replace_scale: float | None = None, breakdown: str = "raise",
         engine="bucketed", top_mode: str = "slate",
@@ -179,15 +178,16 @@ def multifrontal_factor_sharded(
     """Factor the permuted sparse matrix across the node's devices.
 
     Subtrees run on concurrent per-device timelines through the same
-    level transactions as :func:`multifrontal_factor_gpu` — the full
-    pivot policy (``pivot_tol``/``static_pivot``/``replace_scale``),
-    batch engine selection and the retry/level-split/quarantine ladder
-    all apply per device.  Boundary Schur contributions are shipped to
-    ``top_device`` over the node's modeled links; the top part is
-    factored there (``top_mode="slate"``, batched kernels) or costed
-    with the ScaLAPACK-style CPU model (``"scalapack"`` — the numerics
-    still run, on an untimed scratch device, so the factors are always
-    complete).
+    traversal and level transactions as :func:`multifrontal_factor_gpu`
+    — the full pivot policy (``pivot_tol``/``static_pivot``/
+    ``replace_scale``), batch engine selection and the
+    retry/level-split/quarantine ladder all apply per device.  Boundary
+    Schur contributions are shipped to ``top_device`` over the node's
+    modeled links (give the node a ``p2p_link`` to model a cluster
+    network between rank-local GPUs); the top part is factored there
+    (``top_mode="slate"``, batched kernels) or costed with the
+    ScaLAPACK-style CPU model (``"scalapack"`` — the numerics still run,
+    on an untimed scratch device, so the factors are always complete).
 
     The aggregated :class:`FactorReport` (with every device's recovery
     slice merged in) is attached to ``result.report`` and
@@ -197,12 +197,8 @@ def multifrontal_factor_sharded(
     False``.  Factors are bitwise identical to the single-device path
     at every device count.
     """
-    if strategy not in ("batched", "looped", "strumpack"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if gemm_mode not in ("irr", "vendor", "hybrid"):
-        raise ValueError(f"unknown gemm_mode {gemm_mode!r}")
-    if breakdown not in ("raise", "report"):
-        raise ValueError(f"unknown breakdown mode {breakdown!r}")
+    policy = FactorPolicy(strategy, gemm_mode, pivot_tol, static_pivot,
+                          replace_scale, breakdown)
     if top_mode not in ("slate", "scalapack"):
         raise ValueError(f"unknown top_mode {top_mode!r}")
     if not 0 <= top_device < len(node):
@@ -213,44 +209,20 @@ def multifrontal_factor_sharded(
         raise ValueError("matrix size does not match the symbolic analysis")
 
     assign = partition_tree(symb, len(node))
-    engine = resolve_engine(engine)
+    step = partial(_level_step, policy=policy,
+                   engine=resolve_engine(engine))
     marks = [dev.recovery_log.mark() for dev in node]
     link_bytes0 = node.p2p_bytes + node.staged_bytes
-    a_dev_bytes = a_perm.data.nbytes + a_perm.indices.nbytes + \
-        a_perm.indptr.nbytes
-
-    host_factors: dict[int, FrontFactors] = {}
-    host_schur: dict[int, np.ndarray] = {}
+    a_dev_bytes = _csr_bytes(a_perm)
+    store = _FrontStore()
 
     def run_fronts(device: Device, fids: list[int]) -> float:
-        """Factor one device's fronts; stream results to the host store.
-
-        Identical level transactions to the single-device traversal
-        (same engine, same pivot policy, same recovery ladder); the
-        download/harvest happens outside the timed region, as the
-        single-device path does.
-        """
+        """Factor one device's fronts (one in-core traversal) into the
+        shared host store; returns the device's factorization time."""
         if not fids:
             return 0.0
-        buffers: dict = {}
-        pivots_of: dict = {}
-        diag_of: dict[int, tuple[int, int, float, float]] = {}
-        try:
-            with device.timed_region() as region:
-                for level_fids in _chunk_levels(symb, fids):
-                    _run_level(device, a_perm, symb, level_fids, buffers,
-                               pivots_of, strategy, gemm_mode,
-                               hybrid_cutoff, laswp_variant, nb,
-                               host_schur=host_schur, engine=engine,
-                               diag_of=diag_of, pivot_tol=pivot_tol,
-                               static_pivot=static_pivot,
-                               replace_scale=replace_scale)
-            _flush_fronts(symb, fids, buffers, pivots_of, diag_of,
-                          host_factors, host_schur)
-        finally:
-            for arr in buffers.values():
-                arr.free()
-        return region["elapsed"]
+        return _traverse(device, a_perm, symb, [fids], step,
+                         store)["elapsed"]
 
     # Each participating device holds its own copy of A for assembly
     # (uploaded outside the timed regions, like the single-device path).
@@ -277,8 +249,8 @@ def multifrontal_factor_sharded(
             t0 = owner.host_time
             for d in range(len(node)):
                 for f in assign.rank_fronts[d]:
-                    if f in host_schur:
-                        nbytes = host_schur[f].nbytes
+                    if f in store.schur:
+                        nbytes = store.schur[f].nbytes
                         link_stats[d][0] += nbytes
                         link_stats[d][1] += 1
                         node.transfer(d, top_device, nbytes)
@@ -308,12 +280,13 @@ def multifrontal_factor_sharded(
         for d in claimed:
             node[d]._release(a_dev_bytes)
 
+    check_gathered(a_perm, sum(store.gathered.values()))
     events: list = []
     for dev, mark in zip(node, marks):
         events.extend(dev.recovery_log.since(mark).events)
-    out = _factor_report(symb, host_factors, RecoveryLog(events),
-                         pivot_tol=pivot_tol, static_pivot=static_pivot,
-                         replace_scale=replace_scale, breakdown=breakdown)
+    out = _factor_report(
+        symb, [store.factors[fid] for fid in range(len(symb.fronts))],
+        policy, RecoveryLog(events))
 
     return ShardedFactorResult(
         factors=out, assignment=assign, elapsed=node.synchronize(),

@@ -36,10 +36,10 @@ from ..device.simulator import Device
 from ..errors import FactorizationError, KernelLaunchError, \
     PrecisionFallback, ResourceExhausted, TransferError
 from ..recovery import RecoveryLog
-from .baselines import naive_loop_factor, strumpack_like_factor, \
-    superlu_like_factor
+from .baselines import superlu_like_factor
 from .numeric.cpu_factor import multifrontal_factor_cpu
-from .numeric.gpu_factor import GpuFactorResult, multifrontal_factor_gpu
+from .numeric.gpu_factor import FactorPolicy, GpuFactorResult, \
+    multifrontal_factor_gpu
 from .numeric.gpu_solve import multifrontal_solve_gpu
 from .numeric.report import FactorReport, check_factors_ok
 from .numeric.shard import multifrontal_factor_sharded
@@ -294,18 +294,13 @@ class SparseLU:
             return
         if device is None:
             raise ValueError(f"backend {backend!r} needs a device")
-        if backend == "batched":
-            if kw.get("engine") == "compiled":
-                res = self._factor_compiled_gpu(device, a_num, **kw)
-            else:
-                res = multifrontal_factor_gpu(device, a_num, self.symb,
-                                              strategy="batched", **kw)
-        elif backend == "looped":
-            res = naive_loop_factor(device, a_num, self.symb, **kw)
-        elif backend == "strumpack":
-            res = strumpack_like_factor(device, a_num, self.symb, **kw)
-        else:
+        if backend == "superlu":
             res = superlu_like_factor(device, a_num, self.symb, **kw)
+        elif backend == "batched" and kw.get("engine") == "compiled":
+            res = self._factor_compiled_gpu(device, a_num, **kw)
+        else:
+            res = multifrontal_factor_gpu(device, a_num, self.symb,
+                                          strategy=backend, **kw)
         self.factors = res.factors
         self.factor_result = res
 
@@ -353,14 +348,7 @@ class SparseLU:
                                            engine="bucketed", **kw)
         kw.pop("memory_budget", None)
         host_fallback = kw.pop("host_fallback", True)
-        policy = (kw.get("gemm_mode", "hybrid"),
-                  int(kw.get("hybrid_cutoff", 256)),
-                  kw.get("laswp_variant", "rehearsed"),
-                  int(kw.get("nb", 32)),
-                  float(kw.get("pivot_tol", 0.0)),
-                  bool(kw.get("static_pivot", False)),
-                  None if kw.get("replace_scale") is None
-                  else float(kw["replace_scale"]))
+        policy = FactorPolicy(**kw)
 
         prog = self._factor_program
         if prog is not None and (prog.device is not device
@@ -369,10 +357,7 @@ class SparseLU:
             prog = self._factor_program = None
         if prog is not None:
             try:
-                return prog.run(
-                    a_num, pivot_tol=policy[4],
-                    static_pivot=policy[5], replace_scale=policy[6],
-                    breakdown=kw.get("breakdown", "raise"))
+                return prog.run(a_num, breakdown=policy.breakdown)
             except (GuardTripped, PayloadMismatch) as exc:
                 device.recovery_log.record(
                     "compiled-fallback", site="SparseLU.factor",

@@ -53,6 +53,15 @@ class TestSparseCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             SparseCholesky(a).analyze().factor()
 
+    def test_not_spd_on_device_frees_front_buffers(self):
+        a0 = grid2d(8, 8)
+        a = sp.csr_matrix((a0 + a0.T) / 2 - 6 * sp.eye(64))
+        dev = Device(A100())
+        before = dev.allocated_bytes
+        with pytest.raises(NotPositiveDefiniteError):
+            SparseCholesky(a).analyze().factor(backend="batched", device=dev)
+        assert dev.allocated_bytes == before
+
     def test_unsymmetric_rejected(self, rng):
         a = grid2d(5, 5)  # unsymmetric values
         with pytest.raises(ValueError, match="symmetric"):

@@ -1,12 +1,17 @@
-"""Tests for the simulated distributed-memory factorization (§III-A)."""
+"""Distributed-memory factorization (§III-A) on a network-linked node.
+
+Rank-local GPUs joined by a cluster network are a :class:`Node` whose
+device↔device link models the network; the rank-per-subtree
+factorization is :func:`multifrontal_factor_sharded`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.device import A100, Device
-from repro.sparse import multifrontal_factor_distributed, \
-    multifrontal_factor_gpu, multifrontal_solve, nested_dissection, \
-    partition_tree, symbolic_analysis
+from repro.device import A100, Device, Link, Node
+from repro.sparse import multifrontal_factor_gpu, \
+    multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
+    symbolic_analysis
 
 from .util import grid2d, grid3d
 
@@ -17,49 +22,10 @@ def prepare(a, leaf_size=16):
     return nd, ap, symbolic_analysis(ap, nd)
 
 
-class TestPartition:
-    def test_single_rank_owns_everything(self, rng):
-        _, _, symb = prepare(grid2d(10, 10))
-        assign = partition_tree(symb, 1)
-        assert assign.top_fronts == []
-        assert assign.rank_fronts[0] == list(range(len(symb.fronts)))
-
-    def test_partition_is_exact(self, rng):
-        _, _, symb = prepare(grid3d(6))
-        assign = partition_tree(symb, 4)
-        owned = sorted(f for rf in assign.rank_fronts for f in rf)
-        owned += assign.top_fronts
-        assert sorted(owned) == list(range(len(symb.fronts)))
-
-    def test_top_is_top_levels(self, rng):
-        _, _, symb = prepare(grid3d(6))
-        assign = partition_tree(symb, 4)   # ceil(log2 4) = 2 levels
-        for f in assign.top_fronts:
-            assert symb.fronts[f].level < 2
-        for rf in assign.rank_fronts:
-            for f in rf:
-                assert symb.fronts[f].level >= 2
-
-    def test_subtrees_stay_whole(self, rng):
-        # a front and its children live on the same rank (unless top)
-        _, _, symb = prepare(grid3d(6))
-        assign = partition_tree(symb, 4)
-        for fid, f in enumerate(symb.fronts):
-            r = assign.rank_of_front[fid]
-            if r < 0:
-                continue
-            for c in f.children:
-                assert assign.rank_of_front[c] == r
-
-    def test_balance_reasonable(self, rng):
-        _, _, symb = prepare(grid3d(7))
-        assign = partition_tree(symb, 4)
-        assert assign.imbalance < 2.0
-
-    def test_invalid_rank_count(self, rng):
-        _, _, symb = prepare(grid2d(6, 6))
-        with pytest.raises(ValueError, match="at least one rank"):
-            partition_tree(symb, 0)
+def cluster(n_ranks):
+    """``n_ranks`` A100s joined by a 25 GB/s, 5 µs network."""
+    return Node(A100(), n_ranks,
+                p2p_link=Link(bandwidth=25e9, latency=5e-6))
 
 
 class TestDistributedFactorization:
@@ -67,7 +33,7 @@ class TestDistributedFactorization:
         a = grid3d(6)
         _, ap, symb = prepare(a)
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
-        res = multifrontal_factor_distributed(A100(), ap, symb, 4)
+        res = multifrontal_factor_sharded(cluster(4), ap, symb)
         for f1, f2 in zip(ref.factors.fronts, res.factors.fronts):
             np.testing.assert_array_equal(f1.f11, f2.f11)
             np.testing.assert_array_equal(f1.f12, f2.f12)
@@ -77,7 +43,7 @@ class TestDistributedFactorization:
     def test_solve_correct(self, rng):
         a = grid3d(6)
         nd, ap, symb = prepare(a)
-        res = multifrontal_factor_distributed(A100(), ap, symb, 3)
+        res = multifrontal_factor_sharded(cluster(3), ap, symb)
         b = rng.standard_normal(a.shape[0])
         xp = multifrontal_solve(res.factors, b[nd.perm])
         x = np.empty_like(xp)
@@ -89,30 +55,35 @@ class TestDistributedFactorization:
         _, ap, symb = prepare(a)
         locals_ = []
         for p in (1, 4):
-            res = multifrontal_factor_distributed(A100(), ap, symb, p)
-            locals_.append(max(res.per_rank_seconds))
+            res = multifrontal_factor_sharded(cluster(p), ap, symb)
+            locals_.append(max(res.per_device_seconds))
         assert locals_[1] < 0.7 * locals_[0]
 
     def test_communication_accounted(self, rng):
         a = grid3d(6)
         _, ap, symb = prepare(a)
-        res = multifrontal_factor_distributed(A100(), ap, symb, 4)
-        assert res.comm_bytes > 0
+        res = multifrontal_factor_sharded(cluster(4), ap, symb)
+        assert res.link_bytes > 0
         assert res.gather_seconds > 0
-        # every boundary Schur crosses the network exactly once
-        expected = sum(
-            8 * symb.fronts[f].upd_size ** 2
-            for f in range(len(symb.fronts))
+        # every boundary Schur is shipped to the top owner exactly once
+        boundary = [
+            f for f in range(len(symb.fronts))
             if res.assignment.rank_of_front[f] >= 0
             and symb.fronts[f].parent >= 0
-            and res.assignment.rank_of_front[symb.fronts[f].parent] == -1)
-        assert res.comm_bytes == expected
+            and res.assignment.rank_of_front[symb.fronts[f].parent] == -1]
+        expected = sum(8 * symb.fronts[f].upd_size ** 2 for f in boundary)
+        assert sum(nb for nb, _ in res.rank_link_stats) == expected
+        assert sum(n for _, n in res.rank_link_stats) == len(boundary)
+        # only the other ranks' contributions cross the network
+        own = sum(8 * symb.fronts[f].upd_size ** 2 for f in boundary
+                  if res.assignment.rank_of_front[f] == 0)
+        assert res.link_bytes == expected - own
 
     def test_scalapack_top_mode(self, rng):
         a = grid3d(6)
         nd, ap, symb = prepare(a)
-        res = multifrontal_factor_distributed(A100(), ap, symb, 4,
-                                              top_mode="scalapack")
+        res = multifrontal_factor_sharded(cluster(4), ap, symb,
+                                          top_mode="scalapack")
         assert res.top_seconds > 0
         b = rng.standard_normal(a.shape[0])
         xp = multifrontal_solve(res.factors, b[nd.perm])
@@ -123,13 +94,15 @@ class TestDistributedFactorization:
     def test_invalid_top_mode(self, rng):
         _, ap, symb = prepare(grid2d(6, 6))
         with pytest.raises(ValueError, match="top_mode"):
-            multifrontal_factor_distributed(A100(), ap, symb, 2,
-                                            top_mode="mpi")
+            multifrontal_factor_sharded(cluster(2), ap, symb,
+                                        top_mode="mpi")
 
     def test_single_rank_equals_plain_gpu_elapsed_shape(self, rng):
         a = grid2d(12, 12)
         _, ap, symb = prepare(a, leaf_size=8)
-        res = multifrontal_factor_distributed(A100(), ap, symb, 1)
-        assert res.comm_bytes == 0
+        res = multifrontal_factor_sharded(cluster(1), ap, symb)
+        assert res.link_bytes == 0
+        assert res.rank_link_stats == [(0, 0)]
         assert res.top_seconds == 0.0
-        assert res.elapsed == pytest.approx(res.per_rank_seconds[0])
+        ref = multifrontal_factor_gpu(Device(A100()), ap, symb)
+        assert res.per_device_seconds[0] == pytest.approx(ref.elapsed)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.device import A100, MI100, Device
 from repro.sparse import multifrontal_factor_cpu, multifrontal_factor_gpu, \
     multifrontal_solve, nested_dissection, symbolic_analysis
+from repro.sparse.numeric import gpu_factor
 from repro.sparse.numeric.cpu_factor import factor_front_blocks
 
 from .util import grid2d, grid3d, random_sparse
@@ -125,13 +126,14 @@ class TestGpuFactorStrategies:
                                        atol=1e-12)
 
     @pytest.mark.parametrize("gemm_mode", ["irr", "vendor", "hybrid"])
-    def test_gemm_modes_agree(self, rng, gemm_mode):
+    def test_gemm_modes_agree(self, rng, gemm_mode, monkeypatch):
         a = grid2d(12, 12)
         nd, ap, symb = prepare(a)
         dev = Device(A100())
+        # a low cutoff sends the larger fronts down the vendor loop
+        monkeypatch.setattr(gpu_factor, "HYBRID_GEMM_CUTOFF", 16)
         res = multifrontal_factor_gpu(dev, ap, symb, strategy="batched",
-                                      gemm_mode=gemm_mode,
-                                      hybrid_cutoff=16)
+                                      gemm_mode=gemm_mode)
         b = np.random.default_rng(0).standard_normal(144)
         x = solve_via(res.factors, nd, a, b)
         assert np.abs(a @ x - b).max() < 1e-9

@@ -98,6 +98,31 @@ class TestPartitionProperties:
         total = sum(assign.rank_flops)
         assert max(assign.rank_flops) < total
 
+    def test_top_is_top_levels(self):
+        symb = prepare(grid3d(6))
+        assign = partition_tree(symb, 4)   # ceil(log2 4) = 2 levels
+        for f in assign.top_fronts:
+            assert symb.fronts[f].level < 2
+        for rf in assign.rank_fronts:
+            for f in rf:
+                assert symb.fronts[f].level >= 2
+
+    def test_subtrees_stay_whole(self):
+        # a front and its children live on the same rank (unless top)
+        symb = prepare(grid3d(6))
+        assign = partition_tree(symb, 4)
+        for fid, f in enumerate(symb.fronts):
+            r = assign.rank_of_front[fid]
+            if r < 0:
+                continue
+            for c in f.children:
+                assert assign.rank_of_front[c] == r
+
+    def test_balance_reasonable(self):
+        symb = prepare(grid3d(7))
+        assign = partition_tree(symb, 4)
+        assert assign.imbalance < 2.0
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(4, 12), st.integers(4, 12), st.integers(1, 9))
     def test_property_sweep(self, nx, ny, n_ranks):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.device import A100, Device, Node
+from repro.device import A100, Device, Link, Node
 from repro.errors import FactorizationError
-from repro.sparse import SparseLU, multifrontal_factor_distributed, \
-    multifrontal_factor_gpu, multifrontal_factor_sharded, \
-    multifrontal_solve, nested_dissection, symbolic_analysis
+from repro.sparse import SparseLU, multifrontal_factor_gpu, \
+    multifrontal_factor_sharded, multifrontal_solve, nested_dissection, \
+    symbolic_analysis
 
 from .util import grid2d, grid3d
 
@@ -79,7 +79,7 @@ class TestShardedParity:
     @pytest.mark.parametrize("kw", [
         dict(static_pivot=True, pivot_tol=1e-10),
         dict(pivot_tol=1e-12, replace_scale=1e4),
-        dict(gemm_mode="vendor", nb=16),
+        dict(gemm_mode="vendor"),
     ])
     def test_pivot_policy_parity(self, kw):
         _, ap, symb = prepare(grid2d(11, 10))
@@ -144,28 +144,34 @@ class TestSparseLUSharded:
 
 
 class TestDistributedWrapper:
-    """The simulated-MPI path is now a thin wrapper over the sharded
-    engine — same pivot policy, same breakdown semantics."""
+    """Rank-local GPUs on a cluster network (a node whose p2p link
+    models the network) — same pivot policy, same breakdown semantics
+    as the single-device path."""
+
+    @staticmethod
+    def cluster(n_ranks):
+        return Node(A100(), n_ranks,
+                    p2p_link=Link(bandwidth=25e9, latency=5e-6))
 
     def test_breakdown_parity_with_gpu_path(self):
         _, ap, symb = prepare(singular())
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb,
                                       breakdown="report")
-        res = multifrontal_factor_distributed(A100(), ap, symb, 4,
-                                              breakdown="report")
+        res = multifrontal_factor_sharded(self.cluster(4), ap, symb,
+                                          breakdown="report")
         assert res.report is not None
         assert np.array_equal(res.report.info, ref.report.info)
 
     def test_raise_on_breakdown(self):
         _, ap, symb = prepare(singular())
         with pytest.raises(FactorizationError):
-            multifrontal_factor_distributed(A100(), ap, symb, 4)
+            multifrontal_factor_sharded(self.cluster(4), ap, symb)
 
     def test_pivot_policy_threads_through(self):
         _, ap, symb = prepare(grid2d(10, 10))
         ref = multifrontal_factor_gpu(Device(A100()), ap, symb,
                                       static_pivot=True, pivot_tol=1e-10)
-        res = multifrontal_factor_distributed(
-            A100(), ap, symb, 4, static_pivot=True, pivot_tol=1e-10)
+        res = multifrontal_factor_sharded(
+            self.cluster(4), ap, symb, static_pivot=True, pivot_tol=1e-10)
         assert_factors_equal(ref.factors, res.factors)
         assert res.report.static_pivot is True

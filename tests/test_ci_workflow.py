@@ -4,7 +4,8 @@ YAML silently keeps the last of two duplicate keys, so a step with two
 ``run:`` lines drops the first command without any error.  These tests
 load ``.github/workflows/ci.yml`` with a loader that rejects duplicate
 keys, and check that every pytest marker declared in ``pyproject.toml``
-has a CI step running ``pytest -m <marker>``.
+has a CI step running ``pytest -m <marker>`` and every ``examples/*.py``
+script has a CI step running it.
 """
 
 import pathlib
@@ -63,3 +64,13 @@ def test_every_marker_has_a_ci_step():
                                     run) for run in runs)]
     assert markers
     assert not missing, f"markers with no CI step: {missing}"
+
+
+def test_every_example_has_a_ci_step():
+    examples = sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+    runs = [step.get("run", "") for step in _steps()]
+    missing = [e for e in examples
+               if not any(re.search(rf"python\s+examples/{re.escape(e)}\b",
+                                    run) for run in runs)]
+    assert examples
+    assert not missing, f"examples with no CI step: {missing}"

@@ -43,8 +43,8 @@ class TestExtendAddAlgebra:
         for c in target.children:
             u = symb.fronts[c].upd
             contribs.append((rng.standard_normal((len(u), len(u))), u))
-        f1 = assemble_front(ap, target, contribs)
-        f2 = assemble_front(ap, target, contribs[::-1])
+        f1, _ = assemble_front(ap, target, contribs)
+        f2, _ = assemble_front(ap, target, contribs[::-1])
         np.testing.assert_allclose(f1, f2, atol=1e-14)
 
     @settings(max_examples=15, deadline=None)
@@ -62,9 +62,9 @@ class TestExtendAddAlgebra:
         u = symb.fronts[c].upd
         s1 = rng.standard_normal((len(u), len(u)))
         s2 = rng.standard_normal((len(u), len(u)))
-        base = assemble_front(ap, target, [])
-        f_sum = assemble_front(ap, target, [(s1 + s2, u)])
-        f_parts = assemble_front(ap, target, [(s1, u), (s2, u)])
+        base, _ = assemble_front(ap, target, [])
+        f_sum, _ = assemble_front(ap, target, [(s1 + s2, u)])
+        f_parts, _ = assemble_front(ap, target, [(s1, u), (s2, u)])
         np.testing.assert_allclose(f_sum, f_parts, atol=1e-12)
         # and subtracting the base leaves exactly the scattered updates
         np.testing.assert_allclose((f_sum - base).sum(),
