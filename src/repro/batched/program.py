@@ -1,9 +1,9 @@
 """Ahead-of-time compiled launch schedules for recurring batched workloads.
 
-Serve traffic and multifrontal level schedules repeat the same *shape
-signatures* endlessly, yet every dispatch re-runs DCWI inference,
-bucketing, permutation rehearsal, packed-buffer construction and the
-per-launch Python orchestration of the drivers in this package.  All of
+Serve traffic repeats the same *shape signatures* endlessly, yet every
+dispatch re-runs DCWI inference, bucketing, permutation rehearsal,
+packed-buffer construction and the per-launch Python orchestration of
+the drivers in this package.  All of
 that work is a pure function of the workload's shapes — never of the
 payload values — so it can be done **once**, ahead of time.
 

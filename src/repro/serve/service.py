@@ -54,7 +54,7 @@ from ..device.simulator import Device
 from ..errors import CorruptionDetected, FactorizationError, \
     KernelLaunchError, ResourceExhausted, TransferError
 from ..sparse.solver import ESCALATED_REFINE_STEPS, REFINE_TARGET, \
-    SparseLU, _REDUCED_OF
+    SparseLU, _REDUCED_OF, check_rhs_shape
 from .health import FAULT_ACTIONS, CircuitBreaker
 from .scheduler import _POLICY_ATTRS, AdmissionQueue, CoalescingPolicy, \
     DispatchPolicy, Request, ServiceFuture, getrf_key, getrs_key, sparse_key
@@ -364,9 +364,7 @@ class SolverService:
     @staticmethod
     def _rhs_payload(b, n: int, dtype: np.dtype) -> tuple[np.ndarray, int]:
         b = np.asarray(b)
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(
-                f"rhs must have {n} rows (1-D or 2-D), got {b.shape}")
+        check_rhs_shape(b, n)
         rt = np.result_type(dtype, b.dtype)
         if rt != dtype:
             raise TypeError(
@@ -447,8 +445,9 @@ class SolverService:
 
         Dense ``handle`` (:class:`FactorHandle`) resolves to ``x``;
         sparse ``handle`` (:class:`ServeSession`) resolves to
-        ``(x, SolveInfo)``.  Broken dense factors are refused here,
-        synchronously — they can never produce a solution.
+        ``(x, SolveInfo)``.  Broken dense factors and a ``b`` without
+        the handle's ``n`` rows are refused here, synchronously — they
+        can never produce a solution.
         """
         policy = self.policy            # one atomic read per admission
         if isinstance(handle, ServeSession):
@@ -460,6 +459,7 @@ class SolverService:
                              coalesce=policy.coalesce_sparse_rhs,
                              serial=self._next_serial())
             b = np.asarray(b)
+            check_rhs_shape(b, handle.n)
             return self._admit(Request(
                 "sparse-solve", key,
                 {"session": handle, "b": np.array(b, copy=True),
@@ -517,10 +517,12 @@ class SolverService:
                                _SPARSE_SOLVE_KWARGS, "sparse factor_solve")
             if precision is not None:
                 kwargs["precision"] = precision
+            b = np.asarray(b)
+            check_rhs_shape(b, a.shape[0])
             key = ("sparse-open", "solo", self._next_serial())
             return self._admit(Request(
                 "sparse-factor-solve", key,
-                {"a": a.copy(), "b": np.array(np.asarray(b), copy=True),
+                {"a": a.copy(), "b": np.array(b, copy=True),
                  "kwargs": kwargs}, deadline, slo=slo, order=a.shape[0],
                 clock=self._clock))
         self._check_kwargs(kwargs, _LU_KWARGS, "LU")
@@ -1205,7 +1207,7 @@ class SolverService:
                     self._note_sparse_info(info)
                     req.future._resolve(value=(x, info))
                 except (*_SYSTEM_ERRORS, FactorizationError,
-                        RuntimeError) as exc:
+                        RuntimeError, ValueError) as exc:
                     if isinstance(exc, CorruptionDetected):
                         self.stats.on_corruption()
                     self._fail(req, exc)
@@ -1227,7 +1229,7 @@ class SolverService:
                     req.future._resolve(
                         value=(xi[:, 0] if ndim == 1 else xi, info))
             except (*_SYSTEM_ERRORS, FactorizationError,
-                    RuntimeError) as exc:
+                    RuntimeError, ValueError) as exc:
                 if isinstance(exc, CorruptionDetected):
                     self.stats.on_corruption()
                 for req in group:

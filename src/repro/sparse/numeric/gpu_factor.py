@@ -35,7 +35,6 @@ of level transactions (:func:`_run_level`).
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -109,17 +108,16 @@ _STRATEGIES = {
 
 @dataclass(frozen=True)
 class FactorPolicy:
-    """A factorization's launch strategy, Schur GEMM mode and pivot
-    policy, validated on construction.  ``breakdown`` (raise or report
-    an unrecovered breakdown) does not change what runs, so it takes no
-    part in equality: a compiled program replays under either."""
+    """A factorization's launch strategy, Schur GEMM mode, pivot policy
+    and ``breakdown`` mode (raise or report an unrecovered breakdown),
+    validated on construction."""
 
     strategy: str = "batched"
     gemm_mode: str = "hybrid"
     pivot_tol: float = 0.0
     static_pivot: bool = False
     replace_scale: float | None = None
-    breakdown: str = field(default="raise", compare=False)
+    breakdown: str = "raise"
 
     def __post_init__(self):
         if self.strategy not in _STRATEGIES:
@@ -292,32 +290,25 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                            policy, traversals=n_chunks)
 
 
-def _front_factors(info, data: np.ndarray, ipiv: np.ndarray | None,
-                   diag: tuple | None) -> FrontFactors:
-    """Host factors of one front from its downloaded dense buffer and
-    its ``(info, n_replaced, min_pivot, growth)`` diagnostics (``None``:
-    a front with no pivot block)."""
-    s = info.sep_size
-    d_info, d_rep, d_minp, d_growth = diag or (0, 0, np.inf, 1.0)
-    return FrontFactors(
-        f11=data[:s, :s].copy(), ipiv=ipiv,
-        f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-        info=d_info, n_replaced=d_rep, min_pivot=d_minp, growth=d_growth)
-
-
 def _flush_fronts(symb, fids, buffers, store: _FrontStore) -> None:
-    """Stream finished fronts back to the host: their factors, plus the
-    Schur blocks a parent outside ``fids`` still has to assemble.  Frees
-    each front's device buffer."""
+    """Stream finished fronts back to the host: their factors (a front
+    with no pivot block has no diagnostics), plus the Schur blocks a
+    parent outside ``fids`` still has to assemble.  Frees each front's
+    device buffer."""
     fid_set = set(fids)
     for fid in fids:
         info = symb.fronts[fid]
+        s = info.sep_size
         data = buffers[fid].to_host()
-        store.factors[fid] = _front_factors(
-            info, data, store.pivots.get(fid), store.diags.get(fid))
+        d_info, d_rep, d_minp, d_growth = \
+            store.diags.get(fid) or (0, 0, np.inf, 1.0)
+        store.factors[fid] = FrontFactors(
+            f11=data[:s, :s].copy(), ipiv=store.pivots.get(fid),
+            f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
+            info=d_info, n_replaced=d_rep, min_pivot=d_minp,
+            growth=d_growth)
         if info.parent >= 0 and info.parent not in fid_set \
                 and info.upd_size:
-            s = info.sep_size
             store.schur[fid] = data[s:, s:].copy()
         buffers[fid].free()
         del buffers[fid]
@@ -336,16 +327,13 @@ def _factor_report(symb, fronts: list, policy: FactorPolicy,
 
 
 def _package_result(device, symb, host_factors, region, mark,
-                    policy: FactorPolicy, *, traversals,
-                    counters_extra=None) -> GpuFactorResult:
-    """The report tail of a single-device factorization (bucketed
-    traversal or compiled replay)."""
+                    policy: FactorPolicy, *, traversals) -> GpuFactorResult:
+    """The report tail of a single-device factorization."""
     out = _factor_report(
         symb, [host_factors[fid] for fid in range(len(symb.fronts))],
         policy, device.recovery_log.since(mark))
     counters = {k: region[k] for k in region if k != "elapsed"}
     counters["traversals"] = traversals
-    counters.update(counters_extra or {})
     return GpuFactorResult(factors=out, elapsed=region["elapsed"],
                            counters=counters,
                            breakdown=device.profiler.by_prefix(),
@@ -526,8 +514,8 @@ def _run_level(device, a_perm, symb, fids, buffers, store: _FrontStore,
     launch_failures = alloc_failures = corrupt_failures = 0
     while True:
         try:
-            consumed, _ = _factor_level(device, a_perm, symb, fids,
-                                        buffers, store, step)
+            consumed = _factor_level(device, a_perm, symb, fids,
+                                     buffers, store, step)
         except CorruptionDetected as exc:
             _rollback_level(fids, buffers, store)
             corrupt_failures += 1
@@ -618,18 +606,16 @@ def _rollback_level(fids, buffers, store: _FrontStore) -> None:
 
 
 def _factor_level(device, a_perm, symb, fids, buffers, store: _FrontStore,
-                  step, phase=nullcontext) -> tuple:
-    """Allocate and assemble the level's fronts (inside ``phase()``),
-    then run ``step``; returns the consumed cross-traversal Schur blocks
-    and the step's result."""
+                  step) -> list[int]:
+    """Allocate and assemble the level's fronts, then run ``step``;
+    returns the consumed cross-traversal Schur blocks."""
     for fid in fids:
         info = symb.fronts[fid]
         buffers[fid] = device.zeros((info.order, info.order),
                                     dtype=a_perm.dtype)
-    with phase():
-        consumed = _assemble_level(device, a_perm, symb, fids, buffers,
-                                   store)
-    return consumed, step(device, symb, fids, buffers, store)
+    consumed = _assemble_level(device, a_perm, symb, fids, buffers, store)
+    step(device, symb, fids, buffers, store)
+    return consumed
 
 
 def _assemble_level(device, a_perm, symb, fids, buffers,
@@ -721,45 +707,32 @@ def _make_block_batches(device, symb, fids, buffers):
 # ----------------------------------------------------------------------
 
 def _level_step(device, symb, fids, buffers, store: _FrontStore, *,
-                policy: FactorPolicy, engine, phase=nullcontext):
+                policy: FactorPolicy, engine) -> None:
     """Factor one assembled level at ``policy.strategy``'s launch
     granularity (its :data:`_STRATEGIES` row): the batched fronts, then
-    the per-front vendor path.  ``phase``, a context-manager factory,
-    wraps the batch's LU and its off-diagonal updates (the compiled
-    rehearsal records them as separate phases).  Returns the batch's
-    pivots and F11 batch, or ``None`` when nothing was batched.
+    the per-front vendor path.
     """
     row = _STRATEGIES[policy.strategy]
     sync = device.synchronize if row.sync else (lambda: None)
     eng = engine if row.engine else None
     batch = [f for f in fids if symb.fronts[f].sep_size <= row.batch_limit]
-    out = None
     if batch:
         s_vec, u_vec, f11, f12, f21, f22 = _make_block_batches(
             device, symb, batch, buffers)
         getrf_kw = dict(row.getrf, engine=eng) if row.engine else row.getrf
-        with phase():
-            piv = irr_getrf(device, f11, **getrf_kw, **policy.pivot_kw)
+        piv = irr_getrf(device, f11, **getrf_kw, **policy.pivot_kw)
         sync()
-        _record_batch(store, batch, piv)
-        with phase():
-            _batch_offdiag(device, row, row.schur or policy.gemm_mode, eng,
-                           sync, piv, s_vec, u_vec, f11, f12, f21, f22)
-        out = piv, f11
+        for i, fid in enumerate(batch):
+            store.pivots[fid] = piv.ipiv[i]
+            store.diags[fid] = (int(piv.info[i]), int(piv.n_replaced[i]),
+                                float(piv.min_pivot[i]),
+                                float(piv.growth[i]))
+        _batch_offdiag(device, row, row.schur or policy.gemm_mode, eng,
+                       sync, piv, s_vec, u_vec, f11, f12, f21, f22)
     for fid in fids:
         if symb.fronts[fid].sep_size > row.batch_limit:
             _vendor_front(device, symb.fronts[fid], buffers[fid], fid, store)
             sync()
-    return out
-
-
-def _record_batch(store: _FrontStore, fids, piv) -> None:
-    """Store each batched front's pivots and its ``(info, n_replaced,
-    min_pivot, growth)`` diagnostics."""
-    for i, fid in enumerate(fids):
-        store.pivots[fid] = piv.ipiv[i]
-        store.diags[fid] = (int(piv.info[i]), int(piv.n_replaced[i]),
-                            float(piv.min_pivot[i]), float(piv.growth[i]))
 
 
 def _batch_offdiag(device, row, gemm_mode, eng, sync, piv, s_vec, u_vec,

@@ -38,8 +38,7 @@ from ..errors import FactorizationError, KernelLaunchError, \
 from ..recovery import RecoveryLog
 from .baselines import superlu_like_factor
 from .numeric.cpu_factor import multifrontal_factor_cpu
-from .numeric.gpu_factor import FactorPolicy, GpuFactorResult, \
-    multifrontal_factor_gpu
+from .numeric.gpu_factor import GpuFactorResult, multifrontal_factor_gpu
 from .numeric.gpu_solve import multifrontal_solve_gpu
 from .numeric.report import FactorReport, check_factors_ok
 from .numeric.shard import multifrontal_factor_sharded
@@ -73,6 +72,13 @@ _STAGNATION_RATIO = 0.25
 #: Reduced working precision of each native dtype (``precision="fp32"``).
 _REDUCED_OF = {np.dtype(np.float64): np.dtype(np.float32),
                np.dtype(np.complex128): np.dtype(np.complex64)}
+
+
+def check_rhs_shape(b: np.ndarray, n: int) -> None:
+    """Refuse a right-hand side that is not 1-D or 2-D with ``n`` rows."""
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(
+            f"rhs must have {n} rows (1-D or 2-D), got {b.shape}")
 
 
 @dataclass
@@ -138,9 +144,6 @@ class SparseLU:
         self._work_dtype = self.a.dtype
         self._precision_fallback = True
         self._factor_call: tuple | None = None
-        # compiled level schedule (backend="batched", engine="compiled"):
-        # survives re-factors of same-structure matrices.
-        self._factor_program = None
         # Serializes device solves on this handle: two concurrent
         # solve() calls share one SolvePlan/DeviceFactorCache, and an
         # unsynchronized pair could interleave one call's cache eviction
@@ -296,8 +299,6 @@ class SparseLU:
             raise ValueError(f"backend {backend!r} needs a device")
         if backend == "superlu":
             res = superlu_like_factor(device, a_num, self.symb, **kw)
-        elif backend == "batched" and kw.get("engine") == "compiled":
-            res = self._factor_compiled_gpu(device, a_num, **kw)
         else:
             res = multifrontal_factor_gpu(device, a_num, self.symb,
                                           strategy=backend, **kw)
@@ -317,68 +318,16 @@ class SparseLU:
         log.record("precision-fallback", site=site, detail=detail)
         return log
 
-    def _factor_compiled_gpu(self, device: Device, a_num: sp.spmatrix,
-                             **kw) -> GpuFactorResult:
-        """``backend="batched", engine="compiled"``: compile the level
-        schedule on the first factorization, replay it on re-factors of
-        same-structure matrices (see :meth:`update_values`).
-
-        Fallbacks keep the compiled mode safe to leave on: out-of-core
-        budgets and payloads whose replay trips a breakdown guard run
-        the ordinary bucketed path instead (recorded in the device's
-        recovery log as ``compiled-fallback``); a rehearsal that breaks
-        down yields no program, and the next factor() re-attempts
-        compilation.
-        """
-        from ..batched.program import GuardTripped, PayloadMismatch
-        from .numeric.program import compile_factor_program
-        # Canonical index order: the compiled program's assemble closures
-        # copy payload data positionally, so compile and every replay
-        # must see the same per-row column order.  (The numerics are
-        # order-independent — assembly densifies — so this is safe.)
-        a_num.sort_indices()
-        kw = dict(kw)
-        kw.pop("engine", None)
-        if kw.pop("strategy", "batched") != "batched":
-            raise ValueError("compiled factorization is batched-only")
-        if kw.get("memory_budget") is not None:
-            # out-of-core traversals re-plan chunks per run: not compiled
-            return multifrontal_factor_gpu(device, a_num, self.symb,
-                                           strategy="batched",
-                                           engine="bucketed", **kw)
-        kw.pop("memory_budget", None)
-        host_fallback = kw.pop("host_fallback", True)
-        policy = FactorPolicy(**kw)
-
-        prog = self._factor_program
-        if prog is not None and (prog.device is not device
-                                 or not prog.matches(a_num, policy)):
-            prog.free()
-            prog = self._factor_program = None
-        if prog is not None:
-            try:
-                return prog.run(a_num, breakdown=policy.breakdown)
-            except (GuardTripped, PayloadMismatch) as exc:
-                device.recovery_log.record(
-                    "compiled-fallback", site="SparseLU.factor",
-                    detail=f"{type(exc).__name__}: {exc}")
-                return multifrontal_factor_gpu(
-                    device, a_num, self.symb, strategy="batched",
-                    engine="bucketed", host_fallback=host_fallback, **kw)
-        program, res = compile_factor_program(device, a_num,
-                                              self.symb, **kw)
-        self._factor_program = program
-        return res
-
     def update_values(self, a_new: sp.spmatrix) -> "SparseLU":
         """Install new numeric values on the same sparsity structure.
 
         The orderings and symbolic analysis are value-independent, so
         they are kept; the solver drops back to un-factored and the next
-        :meth:`factor` call — with ``engine="compiled"`` — replays the
-        compiled level schedule instead of re-planning it.  Raises
-        :class:`ValueError` when the structure differs or MC64 scaling
-        is enabled (its permutation/scalings are value-dependent).
+        :meth:`factor` call re-factors the new values on the same
+        assembly tree — the same-structure sweep (time stepping,
+        frequency sweeps).  Raises :class:`ValueError` when the
+        structure differs or MC64 scaling is enabled (its
+        permutation/scalings are value-dependent).
         """
         if self.use_mc64:
             raise ValueError(
@@ -571,8 +520,9 @@ class SparseLU:
         ``host-fallback`` in the device's recovery log, and still
         returns a correct solution.  ``info.recovery`` carries the log
         slice of every resilience action this call took.  A
-        ``memory_budget`` that is not ``None`` or a positive integer
-        raises :class:`ValueError` up front.
+        ``memory_budget`` that is not ``None`` or a positive integer, or
+        a ``b`` that is not 1-D or 2-D with ``n`` rows, raises
+        :class:`ValueError` up front.
 
         The right-hand side is promoted with ``np.result_type``: a
         complex ``b`` against a real ``A`` yields a complex solution
@@ -615,6 +565,7 @@ class SparseLU:
         report = getattr(self.factors, "report", None)
         perturbed = report is not None and report.total_replaced > 0
         b = np.asarray(b)
+        check_rhs_shape(b, self.n)
         b = b.astype(np.result_type(self.a.dtype, b.dtype), copy=False)
         # Device solves serialize on the handle (see ``_solve_lock``):
         # the shared plan / factor cache admit one logical solve at a

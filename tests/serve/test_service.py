@@ -19,6 +19,7 @@ from repro.errors import (DeadlineExceeded, FactorizationError,
 from repro.serve import (CoalescingPolicy, FactorHandle, LatencyHistogram,
                          ServeSession, SolverService)
 from repro.sparse import SparseLU
+from repro.workloads.fronts import build_maxwell_workload
 
 from ..sparse.util import grid2d
 
@@ -441,6 +442,26 @@ class TestSparseSessions:
                                    atol=1e-14)
         sess.close()
         svc.close()
+
+
+    def test_malformed_sparse_rhs_refused_at_submit(self):
+        # a bad rhs must fail its own request synchronously, never reach
+        # (and kill) the dispatcher thread that later requests rely on
+        wl = build_maxwell_workload(3, leaf_size=16)
+        a, b = wl.matrix, wl.rhs
+        assert a.shape[0] == 36
+        with SolverService(Device(A100())) as svc:
+            sess = svc.factor(a, timeout=60)
+            with pytest.raises(ValueError, match="36 rows"):
+                svc.submit_solve(sess, np.ones(35))
+            with pytest.raises(ValueError, match="36 rows"):
+                svc.submit_factor_solve(a, np.ones(35))
+            x, info = svc.solve(sess, b, timeout=20)
+            assert info.final_residual < 1e-12
+            x2, _ = svc.factor_solve(a, b, timeout=20)
+            assert np.linalg.norm(a @ x2 - b) / np.linalg.norm(b) < 1e-12
+            assert svc._thread is not None and svc._thread.is_alive()
+            sess.close()
 
 
 class TestStats:

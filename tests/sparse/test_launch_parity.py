@@ -25,7 +25,6 @@ from repro.device import A100, Device, Node
 from repro.sparse import multifrontal_factor_gpu, \
     multifrontal_factor_sharded, nested_dissection, symbolic_analysis
 from repro.sparse.numeric import gpu_factor
-from repro.sparse.numeric.program import compile_factor_program
 
 from .util import grid2d, grid3d
 
@@ -103,14 +102,6 @@ def _sharded(ap, symb, n_dev, top_mode) -> dict:
     return _entry(list(node), res.factors, res.elapsed, counters)
 
 
-def _compiled(ap, symb) -> dict:
-    dev = Device(A100())
-    program, res = compile_factor_program(dev, ap, symb)
-    assert program is not None
-    program.free()
-    return _entry([dev], res.factors, res.elapsed, res.counters)
-
-
 def _runs() -> dict:
     """Every parity run, keyed by name; values are thunks."""
     ap, symb = _prepare(grid3d(7), leaf_size=8)   # strumpack: seps 0..37
@@ -132,7 +123,6 @@ def _runs() -> dict:
         for top in ("slate", "scalapack"):
             runs[f"sharded-{n_dev}-{top}"] = \
                 lambda p=n_dev, t=top: _sharded(ap, symb, p, t)
-    runs["compiled-rehearsal"] = lambda: _compiled(ap, symb)
     return runs
 
 

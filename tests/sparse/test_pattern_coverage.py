@@ -18,7 +18,6 @@ from repro.errors import PatternMismatch
 from repro.sparse import SparseCholesky, multifrontal_factor_cpu, \
     multifrontal_factor_gpu, multifrontal_factor_sharded, \
     nested_dissection, superlu_like_factor, symbolic_analysis
-from repro.sparse.numeric.program import compile_factor_program
 
 from .util import grid2d, grid3d
 
@@ -43,8 +42,6 @@ BACKENDS = {
         memory_budget=3 * max(8 * f.order ** 2 for f in symb.fronts)),
     "sharded": lambda a, symb: multifrontal_factor_sharded(
         Node(A100(), 4), a, symb),
-    "compiled": lambda a, symb: compile_factor_program(Device(A100()), a,
-                                                       symb)[1],
 }
 
 

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from repro.device import A100, Device
 from repro.sparse import SparseLU
+from repro.workloads.fronts import build_maxwell_workload
 
 from .util import grid2d, grid3d, random_sparse
 
@@ -41,6 +42,23 @@ class TestPipeline:
         s = SparseLU(grid2d(5, 5)).analyze()
         with pytest.raises(ValueError, match="unknown backend"):
             s.factor(backend="quantum")
+
+    def test_compiled_engine_rejected(self):
+        # no compiled sparse replay: the engine name reaches the batched
+        # engine resolver, which refuses it before anything is allocated
+        dev = Device(A100())
+        s = SparseLU(grid2d(6, 6)).analyze()
+        with pytest.raises(ValueError, match="unknown engine 'compiled'"):
+            s.factor(backend="batched", device=dev, engine="compiled")
+        assert dev.allocated_bytes == 0
+
+    @pytest.mark.parametrize("shape", [(35,), (37,), (35, 2), (6, 6, 1)])
+    def test_solve_rejects_wrong_rhs_shape(self, shape):
+        s = SparseLU(grid2d(6, 6)).factor()
+        with pytest.raises(ValueError, match="rhs must have 36 rows"):
+            s.solve(np.ones(shape))
+        with pytest.raises(ValueError, match="rhs must have 36 rows"):
+            s.solve(np.ones(shape), device=Device(A100()))
 
     def test_solve_before_factor_raises(self):
         s = SparseLU(grid2d(5, 5))
@@ -209,3 +227,52 @@ class TestDtypePromotion:
         x, info = s.solve(rng.standard_normal(49))
         assert np.iscomplexobj(x)
         assert info.final_residual < 1e-13
+
+
+@pytest.fixture(scope="module")
+def maxwell():
+    return build_maxwell_workload(4, leaf_size=16)
+
+
+class TestUpdateValues:
+    """``update_values`` + ``factor``: the same-structure sweep."""
+
+    def test_refactor_matches_fresh_solver_bitwise(self, maxwell):
+        a = maxwell.matrix
+        rng = np.random.default_rng(7)
+        a2 = a.copy()
+        a2.data = a2.data * (1.0 + 0.05 * rng.standard_normal(a2.nnz))
+        dev = Device(A100())
+        slu = SparseLU(a, use_mc64=False)
+        slu.factor(backend="batched", device=dev)
+        slu.update_values(a2)
+        slu.factor(backend="batched", device=dev)
+        fresh = SparseLU(a2, use_mc64=False)
+        fresh.factor(backend="batched", device=Device(A100()))
+        got, ref = slu.factors.fronts, fresh.factors.fronts
+        assert len(got) == len(ref)
+        for f1, f2 in zip(got, ref):
+            for name in ("f11", "f12", "f21", "ipiv"):
+                np.testing.assert_array_equal(getattr(f1, name),
+                                              getattr(f2, name))
+            assert (f1.info, f1.n_replaced, f1.min_pivot, f1.growth) == \
+                (f2.info, f2.n_replaced, f2.min_pivot, f2.growth)
+        x, info = slu.solve(maxwell.rhs, device=dev)
+        assert info.final_residual < 1e-12
+
+    def test_update_values_requires_no_mc64(self, maxwell):
+        slu = SparseLU(maxwell.matrix, use_mc64=True)
+        with pytest.raises(ValueError, match="use_mc64"):
+            slu.update_values(maxwell.matrix)
+
+    def test_update_values_rejects_structure_change(self, maxwell):
+        a = maxwell.matrix
+        slu = SparseLU(a, use_mc64=False)
+        a2 = a.copy().tolil()
+        i = 0
+        j = int(a.shape[1] - 1)
+        if a2[i, j] != 0:
+            j -= 1
+        a2[i, j] = 1.0
+        with pytest.raises(ValueError, match="structure"):
+            slu.update_values(a2.tocsr())

@@ -4,8 +4,9 @@ YAML silently keeps the last of two duplicate keys, so a step with two
 ``run:`` lines drops the first command without any error.  These tests
 load ``.github/workflows/ci.yml`` with a loader that rejects duplicate
 keys, and check that every pytest marker declared in ``pyproject.toml``
-has a CI step running ``pytest -m <marker>`` and every ``examples/*.py``
-script has a CI step running it.
+has a CI step running ``pytest -m <marker>``, every ``examples/*.py``
+script has a CI step running it, and every example or benchmark script a
+step runs exists.
 """
 
 import pathlib
@@ -74,3 +75,12 @@ def test_every_example_has_a_ci_step():
                                     run) for run in runs)]
     assert examples
     assert not missing, f"examples with no CI step: {missing}"
+
+
+def test_every_ci_script_exists():
+    runs = "\n".join(step.get("run", "") for step in _steps())
+    scripts = re.findall(r"python\s+((?:examples|benchmarks)/[\w.-]+\.py)",
+                         runs)
+    missing = sorted({s for s in scripts if not (ROOT / s).is_file()})
+    assert scripts
+    assert not missing, f"CI runs scripts that do not exist: {missing}"
