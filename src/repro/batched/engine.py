@@ -77,16 +77,10 @@ PAD_BYTES_LIMIT = 1 << 28  # 256 MiB
 #: keeping the group count (and per-group dispatch overhead) small.
 ROW_CLASS = 32
 
-#: deferred-update block width of the padded panel: a block of finished
-#: steps is applied to every trailing column while its low columns are
-#: still cache-resident, so each trailing column streams once per block
-#: rather than once per step.
-_PANEL_KBLOCK = 8
-
 #: element count of one padded-panel batch chunk (~4 MiB of doubles).
-#: The whole chunk stays cache-resident across every column of the
-#: elimination, so its slab is streamed from main memory once per panel
-#: rather than once per column.
+#: Each right-looking step streams the chunk's trailing slab through one
+#: 3-D rank-1 update; a chunk this size keeps the slab and its product
+#: scratch near cache while bounding both buffers' host memory.
 _PANEL_CHUNK_ELEMS = 1 << 19
 
 #: minimum members before a uniform small panel shape is routed through
@@ -652,19 +646,19 @@ class BatchEngine:
                       npiv: np.ndarray, R: int, W: int, P: int) -> int:
         """Mixed-shape row-class group: zero-padded vectorized LU.
 
-        The group lives in one batch-last ``(R, W, bs)`` scratch array
+        The group lives in one batch-last ``(W, R, bs)`` scratch array
         (the interleaved layout, so every cross-batch operation streams
         over a contiguous axis).  Zero padding is self-protecting: pad
         rows/columns contribute zero to every pivot search, scaling and
         rank-1 update, so each matrix's factors are bitwise those of the
-        scalar elimination.  The elimination is evaluated in the deferred
-        (left-looking) order — bitwise identical to the right-looking
-        rank-1 sequence, but each column is finished in one cache-resident
-        pass instead of re-streaming the whole trailing slab per step.
+        scalar elimination.  The elimination is right-looking: each step
+        pivots, swaps and scales its column, then applies its rank-1
+        update to every later column and every member in one 3-D
+        multiply/subtract, so each element receives the scalar
+        elimination's subtractions in the same step order.
 
-        The group is processed in batch-axis chunks sized to stay
-        cache-resident across the whole column loop (matrices are
-        independent, so chunking cannot change any value).
+        The group is processed in batch-axis chunks of bounded size
+        (matrices are independent, so chunking cannot change any value).
         """
         flops = 0
         chunk = max(self.min_bucket, _PANEL_CHUNK_ELEMS // max(R * W, 1))
@@ -681,14 +675,14 @@ class BatchEngine:
                             P: int) -> int:
         bs = len(idx)
         # Column-major group layout (W, R, bs): every per-column slice —
-        # pivot search, scaling and all deferred updates — is contiguous.
+        # pivot search, scaling and the low operand of each update — is
+        # contiguous.
         data = self._scratch("pad", W * R * bs,
                              batch.dtype).reshape(W, R, bs)
         data.fill(0.0)
         for b in range(bs):
             data[:width[b], :rows[b], b] = batch.sub(
                 int(idx[b]), j, j, int(rows[b]), int(width[b])).T
-        prod = self._scratch("prod", max(R - 1, 1) * bs, batch.dtype)
         binx = np.arange(bs)
         piv_store = np.empty((P, bs), dtype=np.int64)
         # Local gathers of the breakdown state (threshold, replacement
@@ -706,48 +700,30 @@ class BatchEngine:
         flops_tab = np.where(actm, r1m, 0).sum(axis=1) + \
             2 * np.where(actm & (w1m > 0), r1m * w1m, 0).sum(axis=1)
         flops = 0
-        nz_hist = np.empty((P, bs), dtype=bool)
-        plain = [False] * P      # step needed no mask: all active, nonzero
-
-        def update(colv, k):
-            # One deferred rank-1 column update.  Applying update k after
-            # the later row swaps is elementwise identical to the
-            # right-looking order: both operand columns carry the same
-            # row permutation, so every element receives the exact
-            # subtraction sequence of the scalar elimination.
-            low = data[k, k + 1:, :]
-            u = colv[k]
-            if not plain[k]:
-                m = nz_hist[k]
-                low = np.where(m, low, 0.0)
-                u = np.where(m, u, 0.0)
-            pv = prod[:(R - k - 1) * bs].reshape(R - k - 1, bs)
-            np.multiply(low, u, out=pv)
-            np.subtract(colv[k + 1:], pv, out=colv[k + 1:])
-
-        for k0 in range(0, P, _PANEL_KBLOCK):
-            k1 = min(k0 + _PANEL_KBLOCK, P)
-            for c in range(k0, k1):
-                self._panel_pivot_step(
-                    batch, j, c, k0, R, rows, width, npiv, data, prod,
-                    binx, piv_store, brk, nz_hist, plain, flops_tab,
-                    update)
-            # Apply the finished block of steps to the trailing columns
-            # while its low columns are still cache-resident; each
-            # trailing column is streamed once per block instead of once
-            # per step.
-            for c in range(k1, W):
-                colv = data[c]
-                for k in range(k0, k1):
-                    if k + 1 >= R:
-                        break
-                    update(colv, k)
         for c in range(P):
-            if plain[c]:
+            nz = self._panel_pivot_step(j, c, R, npiv, data, binx,
+                                        piv_store, brk)
+            if c + 1 < R and c + 1 < W:
+                # Rank-1 update of step c on every later column at once.
+                # Each element receives the subtractions of the scalar
+                # elimination in the same step order, so the factors are
+                # bitwise those of the per-matrix loop.
+                low = data[c, c + 1:, :]                 # (R-c-1, bs)
+                u = data[c + 1:, c, :]                   # (W-c-1, bs)
+                if nz is not None:
+                    low = np.where(nz, low, 0.0)
+                    u = np.where(nz, u, 0.0)
+                trail = data[c + 1:, c + 1:, :]
+                pv = self._scratch(
+                    "pad_prod", trail.size,
+                    batch.dtype).reshape(trail.shape)
+                np.multiply(low[None], u[:, None], out=pv)
+                np.subtract(trail, pv, out=trail)
+            if nz is None:
                 flops += int(flops_tab[c])
             else:
                 r1v = rows - c - 1
-                m1 = nz_hist[c] & (r1v > 0)
+                m1 = nz & (r1v > 0)
                 if m1.any():
                     flops += int(np.sum(r1v[m1]))
                     w1 = width - c - 1
@@ -765,16 +741,16 @@ class BatchEngine:
         ctrl.min_pivot[idx] = brk[4]
         return flops
 
-    def _panel_pivot_step(self, batch, j, c, k0, R, rows, width, npiv,
-                          data, prod, binx, piv_store, brk, nz_hist,
-                          plain, flops_tab, update) -> None:
-        """Bring column ``c`` up to date, pivot, swap and scale it."""
+    def _panel_pivot_step(self, j, c, R, npiv, data, binx, piv_store,
+                          brk) -> "np.ndarray | None":
+        """Pivot, swap and scale column ``c`` (already up to date).
+
+        Returns the mask of members whose step-``c`` rank-1 update
+        applies (active, with a usable pivot), or ``None`` when every
+        member's does and the update needs no mask.
+        """
         thresh_loc, repl_loc, info_loc, nrep_loc, minp_loc = brk
         colv = data[c]
-        for k in range(k0, c):
-            if k + 1 >= R:
-                break
-            update(colv, k)
         act = npiv > c
         act_all = bool(act.all())
         p = np.argmax(np.abs(colv[c:]), axis=0)
@@ -800,10 +776,12 @@ class BatchEngine:
         if bad.any():
             rep = bad & (repl_loc > 0.0)
             if rep.any():
-                # static pivoting: replace, keeping the sign/phase
+                # static pivoting: replace, keeping the sign/phase; the
+                # product is rounded in the working precision, as in the
+                # scalar elimination
                 scale = np.where(apiv > 0.0, apiv, 1.0)
                 sgn = np.where(apiv > 0.0, piv / scale, 1.0)
-                piv = np.where(rep, sgn * repl_loc, piv)
+                piv = np.where(rep, sgn * repl_loc.astype(apiv.dtype), piv)
                 colv[c] = piv
                 nrep_loc += rep
             unrec = bad & ~rep
@@ -822,8 +800,7 @@ class BatchEngine:
             inv = piv if nz_all else np.where(nz, piv, 1.0)
             low = colv[c + 1:]
             np.divide(low, inv, out=low)
-        nz_hist[c] = nz
-        plain[c] = nz_all
+        return None if nz_all else nz
 
     # ------------------------------------------------------------------
     # rehearsed LASWP

@@ -156,7 +156,7 @@ def interleaved_lu_core(data: np.ndarray, k: int, *,
         if rep.any():
             scale = np.where(apiv > 0.0, apiv, 1.0)
             sgn = np.where(apiv > 0.0, piv / scale, 1.0)
-            piv = np.where(rep, sgn * repl, piv)
+            piv = np.where(rep, sgn * repl.astype(apiv.dtype), piv)
             data[c, c, :] = piv
             n_replaced += rep
         nz = ~(bad & ~rep)

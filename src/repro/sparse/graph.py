@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["symmetrize_pattern", "adjacency_lists", "connected_components",
-           "bfs_levels", "pseudo_peripheral_vertex", "subgraph"]
+__all__ = ["symmetrize_pattern", "gather_neighbours", "bfs_levels",
+           "pseudo_peripheral_vertex"]
 
 
 def symmetrize_pattern(a: sp.spmatrix) -> sp.csr_matrix:
@@ -28,34 +28,44 @@ def symmetrize_pattern(a: sp.spmatrix) -> sp.csr_matrix:
     return sym
 
 
-def adjacency_lists(g: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Return (indptr, indices) of an adjacency CSR (no-copy views)."""
-    return g.indptr, g.indices
+def gather_neighbours(g: sp.csr_matrix, vertices: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated adjacency lists of ``vertices`` and their lengths.
+
+    Returns ``(neighbours, counts)``: the lists follow ``vertices`` order,
+    each in its CSR order, and ``counts[i]`` is the length of list ``i``.
+    """
+    indptr = g.indptr
+    starts = indptr[vertices]
+    counts = indptr[vertices + 1] - starts
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    pos = np.repeat(starts - ends + counts, counts) + np.arange(total)
+    return g.indices[pos], counts
 
 
 def bfs_levels(g: sp.csr_matrix, start: int,
                mask: np.ndarray | None = None) -> np.ndarray:
     """BFS level of every vertex from ``start`` (-1 = unreachable).
 
-    ``mask`` restricts the traversal to vertices where it is True.
+    ``mask`` restricts the traversal to vertices where it is True.  Each
+    level is expanded as a whole frontier; levels do not depend on the
+    order in which a frontier is visited.
     """
-    n = g.shape[0]
-    indptr, indices = g.indptr, g.indices
-    level = np.full(n, -1, dtype=np.int64)
+    level = np.full(g.shape[0], -1, dtype=np.int64)
     if mask is not None and not mask[start]:
         raise ValueError("start vertex is masked out")
     level[start] = 0
-    frontier = [start]
+    frontier = np.array([start], dtype=np.int64)
     d = 0
-    while frontier:
+    while len(frontier):
         d += 1
-        nxt = []
-        for v in frontier:
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if level[w] == -1 and (mask is None or mask[w]):
-                    level[w] = d
-                    nxt.append(int(w))
-        frontier = nxt
+        nbr, _ = gather_neighbours(g, frontier)
+        new = level[nbr] == -1
+        if mask is not None:
+            new &= mask[nbr]
+        frontier = np.unique(nbr[new])
+        level[frontier] = d
     return level
 
 
@@ -82,37 +92,3 @@ def pseudo_peripheral_vertex(g: sp.csr_matrix,
         far = vertices[reach == new_ecc]
         v = int(far[0])
     return v
-
-
-def connected_components(g: sp.csr_matrix,
-                         vertices: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the induced subgraph on ``vertices``."""
-    mask = np.zeros(g.shape[0], dtype=bool)
-    mask[vertices] = True
-    seen = np.zeros(g.shape[0], dtype=bool)
-    comps = []
-    indptr, indices = g.indptr, g.indices
-    for v0 in vertices:
-        if seen[v0]:
-            continue
-        comp = []
-        stack = [int(v0)]
-        seen[v0] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if mask[w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(np.array(sorted(comp), dtype=np.int64))
-    return comps
-
-
-def subgraph(g: sp.csr_matrix, vertices: np.ndarray
-             ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Induced subgraph; returns (graph, original-vertex-of-local-index)."""
-    vertices = np.asarray(vertices, dtype=np.int64)
-    sub = g[vertices][:, vertices].tocsr()
-    sub.sort_indices()
-    return sub, vertices

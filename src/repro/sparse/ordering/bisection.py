@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..graph import bfs_levels, pseudo_peripheral_vertex
+from ..graph import bfs_levels, gather_neighbours, pseudo_peripheral_vertex
 
 __all__ = ["Bisection", "bisect"]
 
@@ -69,7 +69,7 @@ def bisect(g: sp.csr_matrix, vertices: np.ndarray) -> Bisection:
         b_side = reached[half:]
         # With an arbitrary split we cannot use the level structure; take
         # the full boundary of the smaller side as separator.
-        sep = _boundary(g, a_side, b_side, mask)
+        sep = np.sort(a_side[_touches(g, a_side, b_side)])
         a_set = np.setdiff1d(a_side, sep, assume_unique=False)
         b_set = np.setdiff1d(b_side, sep, assume_unique=False)
         return _finish(a_set, b_set, sep, unreached)
@@ -79,25 +79,23 @@ def bisect(g: sp.csr_matrix, vertices: np.ndarray) -> Bisection:
     sep = reached[level[reached] == cut_level]
     b_only = reached[level[reached] > cut_level]
     # Shrink the separator: keep only vertices actually adjacent to A.
-    indptr, indices = g.indptr, g.indices
-    amask = np.zeros(g.shape[0], dtype=bool)
-    amask[a_side] = True
-    keep = np.array([any(amask[w] for w in indices[indptr[v]:indptr[v + 1]])
-                     for v in sep], dtype=bool)
+    keep = _touches(g, sep, a_side)
     b_extra = sep[~keep]
     sep = sep[keep]
     b_only = np.concatenate([b_only, b_extra])
     return _finish(a_side, b_only, sep, unreached)
 
 
-def _boundary(g: sp.csr_matrix, a_side: np.ndarray, b_side: np.ndarray,
-              mask: np.ndarray) -> np.ndarray:
-    bmask = np.zeros(g.shape[0], dtype=bool)
-    bmask[b_side] = True
-    indptr, indices = g.indptr, g.indices
-    sep = [v for v in a_side
-           if any(bmask[w] for w in indices[indptr[v]:indptr[v + 1]])]
-    return np.array(sorted(sep), dtype=np.int64)
+def _touches(g: sp.csr_matrix, vs: np.ndarray,
+             other: np.ndarray) -> np.ndarray:
+    """Per vertex of ``vs``: does it have a neighbour in ``other``?"""
+    omask = np.zeros(g.shape[0], dtype=bool)
+    omask[other] = True
+    nbr, counts = gather_neighbours(g, vs)
+    owner = np.repeat(np.arange(len(vs)), counts)
+    hit = np.zeros(len(vs), dtype=bool)
+    hit[owner[omask[nbr]]] = True
+    return hit
 
 
 def _finish(a, b, sep, unreached) -> Bisection:

@@ -211,6 +211,87 @@ class TestGetrfParity:
             np.testing.assert_array_equal(a, b)
 
 
+#: Mixed tall/wide shapes with no uniform bucket large enough for the
+#: interleaved core, so every panel runs through the padded row-class
+#: groups; (45, 12), (12, 45), (33, 5) and (5, 33) have fewer pivots
+#: than the 16-column panel.
+PADDED_SHAPES = [(40, 40), (40, 40), (37, 29), (29, 37), (45, 12),
+                 (12, 45), (33, 5), (5, 33), (48, 48), (20, 20), (3, 3),
+                 (60, 44)]
+
+
+class TestPaddedPanelStress:
+    NB = 16
+
+    def batch(self, dev, dtype):
+        r = np.random.default_rng(21)
+        mats = []
+        for s in PADDED_SHAPES:
+            a = r.standard_normal(s)
+            if np.dtype(dtype).kind == "c":
+                a = a + 1j * r.standard_normal(s)
+            mats.append(a)
+        mats[0][:, 10] = 0.0        # exactly-zero pivot past column 8
+        mats[8][:, 13] = 0.0        # and one in the second 8-column block
+        mats[11][:, 3] *= 1e-8      # tiny pivot: replaced or reported
+        return IrrBatch.from_host(dev, [a.astype(dtype) for a in mats])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128,
+                                       np.float32, np.complex64])
+    @pytest.mark.parametrize("static_pivot", [False, True])
+    def test_naive_bucketed_bitwise(self, dtype, static_pivot):
+        kw = dict(nb=self.NB, panel="fused", pivot_tol=1e-6,
+                  static_pivot=static_pivot)
+        eng = BatchEngine()
+        plan = eng._panel_plan(self.batch(Device(A100()), dtype), 0, self.NB)
+        assert plan.pad_groups
+        assert not plan.inter_buckets
+        out = []
+        for engine in ("naive", eng):
+            dev = Device(A100())
+            batch = self.batch(dev, dtype)
+            piv = irr_getrf(dev, batch, engine=engine, **kw)
+            dev.synchronize()
+            out.append((batch.to_host(), piv, records(dev)))
+        (fn, pn, rn), (fb, pb, rb) = out
+        for a, b in zip(fn, fb):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(pn.ipiv, pb.ipiv):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(pn.info, pb.info)
+        np.testing.assert_array_equal(pn.ctrl.n_replaced, pb.ctrl.n_replaced)
+        np.testing.assert_array_equal(pn.ctrl.min_pivot, pb.ctrl.min_pivot)
+        assert rn == rb
+        if static_pivot:
+            assert np.all(pn.info == 0)
+            assert pn.ctrl.n_replaced[[0, 8, 11]].min() > 0
+        else:
+            assert pn.info[0] == 11 and pn.info[8] == 14
+            assert pn.info[11] == 4
+            assert np.all(pn.ctrl.n_replaced == 0)
+
+    def test_fp32_replacement_interleaved_bitwise(self):
+        # The replaced pivot is rounded in fp32 on the interleaved path
+        # too, so the scaled column matches the scalar elimination.
+        out = []
+        for engine in ("naive", "bucketed"):
+            dev = Device(A100())
+            r = np.random.default_rng(3)
+            mats = [r.standard_normal((12, 12)) for _ in range(10)]
+            for a in mats[::3]:
+                a[:, 4] *= 1e-30
+            batch = IrrBatch.from_host(
+                dev, [a.astype(np.float32) for a in mats])
+            piv = irr_getrf(dev, batch, engine=engine, nb=self.NB,
+                            pivot_tol=1e-20, static_pivot=True)
+            out.append((batch.to_host(), piv))
+        (fn, pn), (fb, pb) = out
+        assert pn.ctrl.n_replaced.tolist() == [1, 0, 0] * 3 + [1]
+        for a, b in zip(fn, fb):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(pn.ctrl.min_pivot, pb.ctrl.min_pivot)
+
+
 class TestGetrsParity:
     def test_mixed_batch(self, rng):
         sizes = [1, 1, 9, 9, 24, 24, 24, 40, 17, 64]

@@ -5,8 +5,9 @@ YAML silently keeps the last of two duplicate keys, so a step with two
 load ``.github/workflows/ci.yml`` with a loader that rejects duplicate
 keys, and check that every pytest marker declared in ``pyproject.toml``
 has a CI step running ``pytest -m <marker>``, every ``examples/*.py``
-script has a CI step running it, and every example or benchmark script a
-step runs exists.
+script has a CI step running it, the repository benchmark's own tests
+(outside tier-1's ``testpaths``) have a step, and every example or
+benchmark script a step runs exists.
 """
 
 import pathlib
@@ -75,6 +76,12 @@ def test_every_example_has_a_ci_step():
                                     run) for run in runs)]
     assert examples
     assert not missing, f"examples with no CI step: {missing}"
+
+
+def test_perfbench_tests_have_a_ci_step():
+    runs = [step.get("run", "") for step in _steps()]
+    assert any(re.search(r"pytest\s+perfbench/tests\b", run)
+               for run in runs), "no CI step runs perfbench/tests"
 
 
 def test_every_ci_script_exists():
