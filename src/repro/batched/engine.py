@@ -928,7 +928,8 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # ``lp`` below is a LevelSolvePlan from repro.sparse.numeric.solve_plan
     # (duck-typed here to keep the dependency one-directional);
-    # ``stacks`` the per-bucket 3-D DeviceArray factor stacks.  Costs
+    # ``stacks`` the per-bucket factor blocks: a ``.data`` that is a 3-D
+    # stack, or a list of 2-D views into adopted fronts.  Costs
     # reproduce the reference closures in gpu_solve bit-for-bit: the
     # accumulators are integer-valued, so the precomputed sums equal the
     # naive loop's sequential ``+=`` in IEEE double.
@@ -968,8 +969,10 @@ class BatchEngine:
             blocks3 = stack.data
             # The (u=1, nrhs=1) product is the inner-product shape whose
             # 2-D summation order differs from stacked matmul (the GEMM
-            # bucketing rule); it and sub-MIN_BUCKET buckets stay 2-D.
-            if bs >= self.min_bucket and not (b.u == 1 and nrhs == 1):
+            # bucketing rule); it, sub-MIN_BUCKET buckets and per-front
+            # views (a list, not a stack) stay 2-D.
+            if isinstance(blocks3, np.ndarray) and bs >= self.min_bucket \
+                    and not (b.u == 1 and nrhs == 1):
                 y = x[b.sep_mat, :]
                 prod = np.matmul(blocks3, y)
                 delta[b.out_pos, :] = prod.reshape(bs * b.u, nrhs)
@@ -999,7 +1002,8 @@ class BatchEngine:
         for b, stack in zip(lp.buckets, stacks):
             bs = len(b.fids)
             blocks3 = stack.data
-            if bs >= self.min_bucket and not (b.s == 1 and nrhs == 1):
+            if isinstance(blocks3, np.ndarray) and bs >= self.min_bucket \
+                    and not (b.s == 1 and nrhs == 1):
                 xu = x[b.upd_mat, :]
                 prod = np.matmul(blocks3, xu)
                 x[b.sep_flat, :] -= prod.reshape(bs * b.s, nrhs)

@@ -3,13 +3,16 @@
 A :class:`ServeSession` wraps one factored
 :class:`~repro.sparse.solver.SparseLU` for service-mediated solves.  Each
 session keeps its own :class:`~repro.sparse.numeric.solve_plan.DeviceFactorCache`
-device residency, but all sessions of a service draw from *one* shared
-``memory_budget``: the :class:`MemoryArbiter` splits the service budget
-evenly across the sessions currently open, and every open/close
-re-budgets the survivors.  A session whose share shrank simply rebuilds
-its cache on the next solve (``SparseLU`` frees the old residency when
-the budget changes), so device bytes follow the session population
-without any explicit rebalancing pass.
+device residency — from factorization on, when the cache adopts the
+fronts a device factorization left there — but all sessions of a
+service draw from *one* shared ``memory_budget``: the
+:class:`MemoryArbiter` splits the service budget evenly across the
+sessions currently open, and every open/close re-budgets the survivors.
+A new session applies its share when it opens (fronts that do not fit
+are downloaded and freed); a session whose share shrank later simply
+rebuilds its cache on the next solve (``SparseLU`` frees the old
+residency when the budget changes), so device bytes follow the session
+population without any explicit rebalancing pass.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ class ServeSession:
         self._arbiter = arbiter
         self._closed = False
         arbiter.register(self.sid)
+        # the fronts a device factorization left resident fit the share
+        # from the start, not only from the first solve on
+        solver.rebudget(device, self.budget)
 
     # -- inspection ----------------------------------------------------
     @property
@@ -127,17 +133,16 @@ class ServeSession:
     def close(self) -> None:
         """Release the session's device residency and its budget share.
 
-        Idempotent.  The remaining sessions' shares grow on their next
-        solve (the arbiter re-splits on unregister).
+        The handle's factors go with it (:meth:`SparseLU.release`); the
+        factor report stays readable.  Idempotent.  The remaining
+        sessions' shares grow on their next solve (the arbiter re-splits
+        on unregister).
         """
         if self._closed:
             return
         self._closed = True
         self._arbiter.unregister(self.sid)
-        cache = self.solver.solve_cache
-        if cache is not None:
-            with cache.exclusive():
-                cache.free()
+        self.solver.release()
 
     def __enter__(self) -> "ServeSession":
         return self

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,11 +10,11 @@ import numpy as np
 from ...errors import PatternMismatch
 from ..symbolic.analysis import SymbolicFactorization
 
-__all__ = ["FrontFactors", "MultifrontalFactors", "assemble_front",
-           "gather_front", "check_gathered", "host_traversal"]
+__all__ = ["FrontFactors", "MultifrontalFactors", "spill_fronts",
+           "assemble_front", "gather_front", "check_gathered",
+           "host_traversal"]
 
 
-@dataclass
 class FrontFactors:
     """Factored blocks of one front.
 
@@ -29,16 +30,102 @@ class FrontFactors:
     so nothing downstream meets Inf/NaN), ``n_replaced`` counts
     statically replaced pivots, ``min_pivot`` is the smallest ``|pivot|``
     met and ``growth`` the element growth factor ``max|LU|/max|F11|``.
+
+    Device-held fronts: a device factorization may leave the blocks in
+    the traversal's front buffer (``device_front``, the whole factored
+    front, owned by this object) instead of on the host.  The first read
+    of ``f11``/``f12``/``f21`` then downloads that buffer once, through
+    the device's charged and integrity-checked D2H path
+    (:meth:`download`); :meth:`release` frees the buffer.  Reading the
+    blocks of a front released before any download raises
+    :class:`RuntimeError`.  Pivots and diagnostics are always on the
+    host.
     """
 
-    f11: np.ndarray
-    ipiv: np.ndarray
-    f12: np.ndarray
-    f21: np.ndarray
-    info: int = 0
-    n_replaced: int = 0
-    min_pivot: float = np.inf
-    growth: float = 1.0
+    __slots__ = ("ipiv", "info", "n_replaced", "min_pivot", "growth",
+                 "device_front", "_sep", "_blocks", "_lock")
+
+    def __init__(self, f11=None, ipiv=None, f12=None, f21=None, info=0,
+                 n_replaced=0, min_pivot=np.inf, growth=1.0, *,
+                 device_front=None, sep_size: int = 0):
+        self.ipiv = ipiv
+        self.info = info
+        self.n_replaced = n_replaced
+        self.min_pivot = min_pivot
+        self.growth = growth
+        self.device_front = device_front
+        self._sep = sep_size
+        self._blocks = None if device_front is not None \
+            else (f11, f12, f21)
+        self._lock = threading.Lock() if device_front is not None else None
+
+    f11 = property(lambda self: self._host_blocks()[0])
+    f12 = property(lambda self: self._host_blocks()[1])
+    f21 = property(lambda self: self._host_blocks()[2])
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The blocks' dtype (no download)."""
+        front = self.device_front
+        if self._blocks is None and front is not None:
+            return front.dtype
+        return self._host_blocks()[0].dtype
+
+    def _host_blocks(self) -> tuple:
+        blocks = self._blocks
+        if blocks is None:
+            self.download()
+            blocks = self._blocks
+        return blocks
+
+    def download(self) -> "np.ndarray | None":
+        """Copy a device-held front's blocks to the host, once.
+
+        The single download routine of every device factorization: one
+        D2H of the whole front buffer (charged on the device clock and
+        checksummed under a fault scope), sliced into host copies of
+        ``f11``/``f12``/``f21``.  Returns that host copy of the whole
+        front, or ``None`` when the blocks were already on the host.  A
+        failed transfer (:class:`~repro.errors.TransferError`) leaves the
+        front device-held and intact.  The buffer is not freed.
+        """
+        if self._blocks is not None:
+            return None
+        with self._lock:
+            if self._blocks is not None:
+                return None
+            if self.device_front is None:
+                raise RuntimeError(
+                    "these factors were released from the device before "
+                    "their blocks were downloaded")
+            data = self.device_front.to_host()
+            s = self._sep
+            self._blocks = (data[:s, :s].copy(), data[:s, s:].copy(),
+                            data[s:, :s].copy())
+        return data
+
+    def release(self) -> None:
+        """Free the device front buffer, if any (idempotent); waits for a
+        download in flight."""
+        if self._lock is None:
+            return
+        with self._lock:
+            front, self.device_front = self.device_front, None
+        if front is not None:
+            front.free()
+
+
+def spill_fronts(fronts) -> None:
+    """Bring device-held ``fronts`` to the host and free their buffers.
+
+    Every download runs before any buffer is freed, so a failed transfer
+    leaves all of them held and intact.  Host fronts are skipped.
+    """
+    fronts = list(fronts)
+    for front in fronts:
+        front.download()
+    for front in fronts:
+        front.release()
 
 
 @dataclass
@@ -54,9 +141,15 @@ class MultifrontalFactors:
     fronts: list[FrontFactors] = field(default_factory=list)
     report: "FactorReport | None" = None
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The factors' working dtype (no download)."""
+        return self.fronts[0].dtype if self.fronts \
+            else np.dtype(np.float64)
+
     def nnz(self) -> int:
-        return sum(f.f11.size + f.f12.size + f.f21.size
-                   for f in self.fronts)
+        return sum(f.sep_size * (f.sep_size + 2 * f.upd_size)
+                   for f in self.symb.fronts)
 
     def front(self, fid: int) -> FrontFactors:
         return self.fronts[fid]

@@ -55,7 +55,7 @@ from ...errors import CorruptionDetected, FactorizationError, \
     KernelLaunchError, ResourceExhausted
 from ..symbolic.analysis import SymbolicFactorization
 from .factors import FrontFactors, MultifrontalFactors, check_gathered, \
-    gather_front
+    gather_front, spill_fronts
 from .report import FactorReport
 
 __all__ = ["multifrontal_factor_gpu", "GpuFactorResult", "plan_traversals",
@@ -175,7 +175,8 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
                             replace_scale: float | None = None,
                             breakdown: str = "raise",
                             engine="bucketed",
-                            host_fallback: bool = True) -> GpuFactorResult:
+                            host_fallback: bool = True,
+                            keep_fronts: bool = False) -> GpuFactorResult:
     """Factor the permuted sparse matrix on the simulated device.
 
     ``engine`` selects the host execution path for the batched kernels
@@ -228,6 +229,15 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
     A matrix with nonzero entries outside the fronts of ``symb`` (e.g.
     one not permuted the way the analysis was) raises
     :class:`~repro.errors.PatternMismatch`.
+
+    The factors come back on the host: every front is downloaded and its
+    device buffer freed.  ``keep_fronts=True`` instead leaves a clean
+    (``report.ok``), single-traversal factorization's fronts where the
+    traversal left them: each :class:`FrontFactors` owns its device
+    buffer (``device_front``) and downloads it only when its blocks are
+    read, and the caller must :meth:`~FrontFactors.release` them —
+    :class:`~repro.sparse.solver.SparseLU` hands them to its
+    :class:`~repro.sparse.numeric.solve_plan.DeviceFactorCache`.
     """
     policy = FactorPolicy(strategy, gemm_mode, pivot_tol, static_pivot,
                           replace_scale, breakdown)
@@ -285,32 +295,47 @@ def multifrontal_factor_gpu(device: Device, a_perm: sp.spmatrix,
             f"device factorization failed after exhausting its recovery "
             f"options ({recovery.summary()})", log=recovery) from failure
 
-    check_gathered(a_perm, sum(store.gathered.values()))
-    return _package_result(device, symb, store.factors, region, mark,
-                           policy, traversals=n_chunks)
+    try:
+        check_gathered(a_perm, sum(store.gathered.values()))
+        # Unless kept, the fronts come back on the host now — broken
+        # factors always do — before the report, so its recovery slice
+        # holds the downloads' transfer retries.
+        if not (keep_fronts and all(f.info == 0
+                                    for f in store.factors.values())):
+            spill_fronts(store.factors.values())
+        return _package_result(device, symb, store.factors, region, mark,
+                               policy, traversals=n_chunks)
+    except BaseException:
+        for front in store.factors.values():
+            front.release()
+        raise
 
 
-def _flush_fronts(symb, fids, buffers, store: _FrontStore) -> None:
-    """Stream finished fronts back to the host: their factors (a front
-    with no pivot block has no diagnostics), plus the Schur blocks a
-    parent outside ``fids`` still has to assemble.  Frees each front's
-    device buffer."""
+def _flush_fronts(symb, fids, buffers, store: _FrontStore, *,
+                  download: bool = True) -> None:
+    """Hand finished fronts from ``buffers`` to ``store.factors``: their
+    pivots and diagnostics (a front with no pivot block has none), and
+    each front's device buffer, owned from then on by its
+    :class:`FrontFactors`.  ``download`` streams them back to the host
+    now — their factors, plus the Schur blocks a parent outside ``fids``
+    still has to assemble — and frees the buffers."""
     fid_set = set(fids)
     for fid in fids:
         info = symb.fronts[fid]
         s = info.sep_size
-        data = buffers[fid].to_host()
         d_info, d_rep, d_minp, d_growth = \
             store.diags.get(fid) or (0, 0, np.inf, 1.0)
-        store.factors[fid] = FrontFactors(
-            f11=data[:s, :s].copy(), ipiv=store.pivots.get(fid),
-            f12=data[:s, s:].copy(), f21=data[s:, :s].copy(),
-            info=d_info, n_replaced=d_rep, min_pivot=d_minp,
-            growth=d_growth)
-        if info.parent >= 0 and info.parent not in fid_set \
-                and info.upd_size:
-            store.schur[fid] = data[s:, s:].copy()
-        buffers[fid].free()
+        front = FrontFactors(
+            ipiv=store.pivots.get(fid), info=d_info, n_replaced=d_rep,
+            min_pivot=d_minp, growth=d_growth,
+            device_front=buffers[fid], sep_size=s)
+        if download:
+            data = front.download()
+            if info.parent >= 0 and info.parent not in fid_set \
+                    and info.upd_size:
+                store.schur[fid] = data[s:, s:].copy()
+            front.release()
+        store.factors[fid] = front
         del buffers[fid]
 
 
@@ -347,6 +372,8 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
     Any failure releases every device allocation this attempt made (the
     uploaded A, live front buffers) before propagating, so a failed
     attempt leaves ``device.allocated_bytes`` exactly where it started.
+    A single traversal leaves its fronts on the device, owned by
+    ``store.factors``; the caller downloads or keeps them.
     """
     chunks = plan_traversals(symb, memory_budget,
                              itemsize=a_perm.dtype.itemsize)
@@ -359,7 +386,7 @@ def _attempt_factorization(device, a_perm, symb, memory_budget,
         device._account_transfer(a_dev_bytes)
         region = _traverse(device, a_perm, symb, chunks,
                            partial(_level_step, policy=policy,
-                                   engine=engine), store)
+                                   engine=engine), store, keep=True)
         return store, region, len(chunks)
     finally:
         device._release(a_dev_bytes)
@@ -370,14 +397,17 @@ def _csr_bytes(a: sp.csr_matrix) -> int:
     return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
 
-def _traverse(device, a_perm, symb, chunks, step, store) -> dict:
+def _traverse(device, a_perm, symb, chunks, step, store, *,
+              keep: bool = False) -> dict:
     """Factor ``chunks`` (postorder front lists, one traversal each)
     level by level in one timed region, which it returns.  Each level is
     a :func:`_run_level` transaction: allocate, assemble, then
     ``step(device, symb, fids, buffers, store)``.  Several chunks
     (out-of-core) stream each finished chunk to ``store`` inside the
     region; a single chunk stays resident, as for a solve phase, and
-    downloads after it.  Frees every live front buffer on any exit.
+    downloads after it — or, with ``keep``, stays on the device, its
+    buffers handed to ``store.factors``.  Frees every live front buffer
+    on any exit.
     """
     buffers: dict[int, DeviceArray] = {}
     streaming = len(chunks) > 1
@@ -390,7 +420,8 @@ def _traverse(device, a_perm, symb, chunks, step, store) -> dict:
                 if streaming:
                     _flush_fronts(symb, chunk, buffers, store)
         if not streaming:
-            _flush_fronts(symb, chunks[0], buffers, store)
+            _flush_fronts(symb, chunks[0], buffers, store,
+                          download=not keep)
         return region
     finally:
         for arr in buffers.values():

@@ -87,10 +87,8 @@ def _upload_level(device: Device, factors: MultifrontalFactors,
 def _promote_rhs(factors: MultifrontalFactors,
                  b: np.ndarray) -> tuple[np.ndarray, bool]:
     """Copy ``b`` promoted against the factor dtype; report 1-D squeeze."""
-    bh = np.array(b, dtype=np.result_type(
-        np.asarray(b).dtype,
-        factors.fronts[0].f11.dtype if factors.fronts else np.float64),
-        copy=True)
+    bh = np.array(b, dtype=np.result_type(np.asarray(b).dtype,
+                                          factors.dtype), copy=True)
     squeeze = bh.ndim == 1
     if squeeze:
         bh = bh[:, None]

@@ -19,10 +19,12 @@ This module precomputes everything that depends only on the factors:
   across solves: per level, the ``f11`` pivot blocks as an
   :class:`~repro.batched.interface.IrrBatch` (for irrTRSM) and the
   ``f21``/``f12`` blocks packed into contiguous per-bucket stacks, each
-  uploaded in **one** H2D transfer.  A ``memory_budget`` keeps only the
-  levels that fit resident; the rest fall back to the seed's streaming
-  uploads (upload, use, free) — mirroring the out-of-core factorization
-  mode.
+  uploaded in **one** H2D transfer.  Factors a device factorization left
+  on this device are *adopted* instead: the blocks are views into the
+  traversal's own front buffers, with no transfer and no copy.  A
+  ``memory_budget`` keeps only the levels that fit resident; the rest
+  fall back to the seed's streaming uploads (upload, use, free) —
+  mirroring the out-of-core factorization mode.
 
 Bitwise-identity contract
 -------------------------
@@ -32,7 +34,8 @@ per-front reference in :mod:`repro.sparse.numeric.gpu_solve`:
 * the rehearsed permutation replays the exact swap sequence, so the
   single gather equals the row-by-row swaps;
 * stacked 3-D ``np.matmul`` equals the per-matrix 2-D product (the
-  engine's contract); the inner-product shape (``m = nrhs = 1``) stays
+  engine's contract), so packed stacks and adopted per-front views give
+  the same bits; the inner-product shape (``m = nrhs = 1``) stays
   per-matrix;
 * the forward scatter's ``np.subtract.at`` is order-sensitive when two
   same-level fronts update the same ancestor row.  The plan partitions
@@ -56,7 +59,7 @@ from ...batched.interface import IrrBatch
 from ...device.memory import DeviceOutOfMemory, pack_to_device, \
     validate_memory_budget
 from ...device.simulator import Device
-from .factors import MultifrontalFactors
+from .factors import MultifrontalFactors, spill_fronts
 from .report import check_factors_ok
 
 __all__ = ["SolvePlan", "DeviceFactorCache", "LevelSolvePlan",
@@ -156,8 +159,7 @@ class SolvePlan:
         self.symb = factors.symb
         self.engine = engine if isinstance(engine, BatchEngine) \
             else BatchEngine()
-        self.dtype = (factors.fronts[0].f11.dtype if factors.fronts
-                      else np.dtype(np.float64))
+        self.dtype = factors.dtype
         self.levels: list[LevelSolvePlan] = []
         for fids in self.symb.levels():
             fids = [f for f in fids if self.symb.fronts[f].sep_size > 0]
@@ -240,13 +242,30 @@ class SolvePlan:
                 f"bytes={self.total_nbytes()})")
 
 
+class _FrontViews:
+    """One bucket's f21 or f12 blocks as views into adopted fronts.
+
+    Indexed like a packed stack (``data[j]`` is member ``j``'s block), so
+    the solve kernels take either; it owns no device memory.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, views: list) -> None:
+        self.data = views
+
+    def free(self) -> None:
+        pass
+
+
 class LevelFactorBlocks:
     """One level's factor blocks on the device.
 
     ``f11`` is an :class:`IrrBatch` (consumed by irrTRSM); ``f21_stacks``
     / ``f12_stacks`` are per-bucket contiguous 3-D stacks, parallel to
-    ``LevelSolvePlan.buckets``.  Parts are uploaded lazily: a streamed
-    forward pass needs only ``f11`` + ``f21``.
+    ``LevelSolvePlan.buckets`` (for an adopted level, per-bucket views
+    into the fronts).  Parts are uploaded lazily: a streamed forward pass
+    needs only ``f11`` + ``f21``.
     """
 
     def __init__(self) -> None:
@@ -286,12 +305,23 @@ class DeviceFactorCache:
     (the internal ``_stream_all`` flag forces that mode for one-shot
     solves).
 
+    Adoption: a level whose fronts are all still held on ``device`` by
+    the factorization that made them (``FrontFactors.device_front``) is
+    *adopted* — its blocks are views into those front buffers, so it
+    costs no transfer and no device copy, and it counts the bytes it
+    really holds (its whole fronts) against the budget and in
+    :attr:`resident_nbytes`.  Device-held fronts the budget does not
+    keep are downloaded once and freed at construction, then stream like
+    host factors.  The fronts stay owned by their ``FrontFactors``; one
+    cache adopts a factorization at a time.
+
     Under memory pressure the cache *spills*: when an upload hits a
     :class:`~repro.device.memory.DeviceOutOfMemory`, the least recently
-    used uploaded level is evicted (its host factors stay authoritative,
-    so nothing is lost) and the upload retried; each eviction is
-    recorded as a ``cache-evict`` in ``device.recovery_log``.  Evicted
-    levels drop back to streaming for later acquires.
+    used resident level is evicted (an adopted level downloads its
+    fronts first, so the host factors stay authoritative and nothing is
+    lost) and the upload retried; each eviction is recorded as a
+    ``cache-evict`` in ``device.recovery_log``.  Evicted levels drop
+    back to streaming for later acquires.
 
     Ownership: the cache is a *shared* resource — one
     :class:`~repro.sparse.solver.SparseLU` handle may be solved from
@@ -321,7 +351,10 @@ class DeviceFactorCache:
         self._tick = 0
         self._last_use: dict[int, int] = {}
         self._lock = threading.RLock()
+        self._adopted = self._adoptable()
         self._resident_set = self._choose_resident()
+        if self._adopted:
+            self._settle()
 
     @contextmanager
     def exclusive(self):
@@ -334,11 +367,61 @@ class DeviceFactorCache:
             yield self
 
     # ------------------------------------------------------------------
+    def _held(self, fid: int) -> bool:
+        """Front ``fid`` is still held on this cache's device."""
+        front = self.factors.fronts[fid].device_front
+        return front is not None and front.device is self.device
+
+    def _adoptable(self) -> set[int]:
+        if self._stream_all:
+            return set()
+        return {li for li, lp in enumerate(self.plan.levels)
+                if all(self._held(f) for f in lp.fids)}
+
+    def _level_bytes(self, li: int) -> int:
+        """Device bytes level ``li`` holds while resident."""
+        lp = self.plan.levels[li]
+        if li in self._adopted:
+            return sum(self.factors.fronts[f].device_front.nbytes
+                       for f in lp.fids)
+        return self.plan.level_nbytes(lp)
+
+    def _spill(self, fids) -> None:
+        """Download fronts ``fids`` and free their device buffers."""
+        spill_fronts(self.factors.fronts[f] for f in fids)
+
+    def _settle(self) -> None:
+        """Adopt the resident adoptable levels; spill every other front
+        still held on this device."""
+        keep = set()
+        for li in self._adopted & self._resident_set:
+            keep.update(self.plan.levels[li].fids)
+        self._spill([f for f in range(len(self.factors.fronts))
+                     if f not in keep and self._held(f)])
+        self._adopted &= self._resident_set
+        for li in self._adopted:
+            self._resident[li] = self._adopt(self.plan.levels[li])
+
+    def _adopt(self, lp: LevelSolvePlan) -> LevelFactorBlocks:
+        """Level blocks as views into the adopted front buffers."""
+        held = {f: self.factors.fronts[f].device_front for f in lp.fids}
+        blocks = LevelFactorBlocks()
+        blocks.f11 = IrrBatch(self.device, [held[f][:s, :s] for f, s in
+                                            zip(lp.fids, lp.sep_m)],
+                              lp.sep_m, lp.sep_m)
+        blocks.f21_stacks = [_FrontViews([held[f].data[b.s:, :b.s]
+                                          for f in b.fids])
+                             for b in lp.buckets]
+        blocks.f12_stacks = [_FrontViews([held[f].data[:b.s, b.s:]
+                                          for f in b.fids])
+                             for b in lp.buckets]
+        return blocks
+
     def _choose_resident(self) -> set[int]:
         if self._stream_all:
             return set()
-        sizes = [(self.plan.level_nbytes(lp), li)
-                 for li, lp in enumerate(self.plan.levels)]
+        sizes = [(self._level_bytes(li), li)
+                 for li in range(len(self.plan.levels))]
         if self.memory_budget is None:
             return {li for _nb, li in sizes}
         chosen: set[int] = set()
@@ -350,26 +433,29 @@ class DeviceFactorCache:
         return chosen
 
     def evict_lru(self, *, exclude: int | None = None) -> int | None:
-        """Spill the least recently used uploaded level; return its index.
+        """Spill the least recently used resident level; return its index.
 
-        The level's device blocks are freed (the host copy is
-        authoritative) and the level drops out of the resident set, so
-        later acquires stream it.  Returns ``None`` when nothing is
-        uploaded to evict.
+        The level's device blocks are freed — an adopted level downloads
+        its fronts first, so the host copy is authoritative — and the
+        level drops out of the resident set, so later acquires stream
+        it.  Returns ``None`` when nothing is resident to evict.
         """
         with self._lock:
             candidates = [li for li in self._resident if li != exclude]
             if not candidates:
                 return None
             li = min(candidates, key=lambda li: self._last_use.get(li, -1))
+            nbytes = self._level_bytes(li)
+            if li in self._adopted:
+                self._spill(self.plan.levels[li].fids)
+                self._adopted.discard(li)
             self._resident.pop(li).free()
             self._resident_set.discard(li)
             self._last_use.pop(li, None)
             self.evictions += 1
         self.device.recovery_log.record(
             "cache-evict", site="DeviceFactorCache",
-            detail=f"level {li} "
-                   f"({self.plan.level_nbytes(self.plan.levels[li])} bytes)")
+            detail=f"level {li} ({nbytes} bytes)")
         return li
 
     @property
@@ -378,8 +464,8 @@ class DeviceFactorCache:
 
     @property
     def resident_nbytes(self) -> int:
-        return sum(self.plan.level_nbytes(self.plan.levels[li])
-                   for li in self._resident_set)
+        with self._lock:
+            return sum(self._level_bytes(li) for li in self._resident_set)
 
     # ------------------------------------------------------------------
     def _upload_f11(self, lp: LevelSolvePlan) -> IrrBatch:
@@ -414,7 +500,9 @@ class DeviceFactorCache:
         lp = self.plan.levels[li]
         if li in self._resident_set:
             blocks = self._resident.get(li)
-            if blocks is None:
+            if blocks is None and li in self._adopted:
+                blocks = self._resident[li] = self._adopt(lp)
+            elif blocks is None:
                 blocks = LevelFactorBlocks()
                 try:
                     blocks.f11 = self._upload_f11(lp)
@@ -464,13 +552,28 @@ class DeviceFactorCache:
                     if self.evict_lru(exclude=li) is None:
                         raise
 
-    def free(self) -> None:
-        """Release all resident device memory (the cache stays usable)."""
+    def free(self, *, spill: bool = True) -> None:
+        """Release all resident device memory (the cache stays usable).
+
+        Adopted levels download their fronts first, so the factors stay
+        valid and later acquires upload them like host factors.
+        ``spill=False`` only drops this cache's views of adopted fronts
+        (those levels stream from then on), leaving the fronts held for
+        a successor cache on the same device or for their owner to
+        release.
+        """
         with self._lock:
             for blocks in self._resident.values():
                 blocks.free()
             self._resident.clear()
             self._last_use.clear()
+            if self._adopted:
+                if spill:
+                    self._spill([f for li in self._adopted
+                                 for f in self.plan.levels[li].fids])
+                else:
+                    self._resident_set -= self._adopted
+                self._adopted.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"DeviceFactorCache(levels={len(self.plan.levels)}, "

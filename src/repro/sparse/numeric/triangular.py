@@ -26,9 +26,7 @@ def multifrontal_solve(factors: MultifrontalFactors,
     """
     check_factors_ok(factors, "substitute through the host factors")
     symb = factors.symb
-    dtype = np.result_type(np.asarray(b).dtype,
-                           factors.fronts[0].f11.dtype
-                           if factors.fronts else np.float64)
+    dtype = np.result_type(np.asarray(b).dtype, factors.dtype)
     x = np.array(b, dtype=dtype, copy=True)
     squeeze = x.ndim == 1
     if squeeze:

@@ -24,13 +24,14 @@ Example
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..batched.engine import resolve_engine
+from ..batched.engine import BatchEngine, resolve_engine
 from ..device.memory import DeviceOutOfMemory, validate_memory_budget
 from ..device.simulator import Device
 from ..errors import FactorizationError, KernelLaunchError, \
@@ -39,6 +40,7 @@ from ..recovery import RecoveryLog
 from .baselines import superlu_like_factor
 from .numeric.cpu_factor import multifrontal_factor_cpu
 from .numeric.gpu_factor import GpuFactorResult, multifrontal_factor_gpu
+from .numeric.factors import MultifrontalFactors
 from .numeric.gpu_solve import multifrontal_solve_gpu
 from .numeric.report import FactorReport, check_factors_ok
 from .numeric.shard import multifrontal_factor_sharded
@@ -118,8 +120,52 @@ class SolveInfo:
         return self.residuals[-1] if self.residuals else float("nan")
 
 
+class _DeviceState:
+    """What a handle holds for its solves: the factors — whose fronts a
+    device factorization may still hold on the device — and the device
+    solve state ``(device, memory_budget, SolvePlan, DeviceFactorCache)``.
+    Kept apart from the handle so the handle's finalizer can release
+    it."""
+
+    __slots__ = ("factors", "solve")
+
+    def __init__(self) -> None:
+        self.factors = None
+        self.solve: tuple | None = None
+
+    def release(self) -> None:
+        """Drop the cache's views, free the device-held fronts without
+        downloading them, and forget both."""
+        solve, self.solve = self.solve, None
+        factors, self.factors = self.factors, None
+        if solve is not None:
+            solve[3].free(spill=False)
+        if factors is not None:
+            for front in factors.fronts:
+                front.release()
+
+
 class SparseLU:
-    """Multifrontal sparse LU with selectable numeric backends."""
+    """Multifrontal sparse LU with selectable numeric backends.
+
+    Device memory: a device factorization in one traversal
+    (``backend="batched"``/``"looped"``/``"strumpack"``, no out-of-core
+    split) with a clean report leaves its factored fronts on the device,
+    where the handle's :class:`DeviceFactorCache` adopts them for device
+    solves — no factor download, no re-upload.  Host copies are made
+    lazily, through the device's charged D2H path:
+
+    * a host or naive solve, or a solve on another device, downloads
+      every front and frees its device buffer;
+    * a solve-time ``memory_budget`` (or :meth:`rebudget`) downloads the
+      levels it cannot keep, then frees them;
+    * reading a block of :attr:`factors` directly downloads a host copy
+      of that front and leaves the device buffer to the cache.
+
+    What stays on the device is freed by :meth:`release` — called by
+    :meth:`factor`, :meth:`update_values`, ``ServeSession.close`` and
+    the handle's finalizer.
+    """
 
     def __init__(self, a: sp.spmatrix, *, use_mc64: bool = False,
                  leaf_size: int = DEFAULT_LEAF_SIZE):
@@ -138,7 +184,12 @@ class SparseLU:
         self._factored = False
         self.factor_result: GpuFactorResult | None = None
         self.factor_report: FactorReport | None = None
-        self._solve_state: tuple | None = None
+        self._hold = _DeviceState()
+        weakref.finalize(self, self._hold.release)
+        # One engine per phase for the handle's lifetime, so re-factors
+        # and re-built solve plans reuse their DCWI plans.
+        self._factor_engine = BatchEngine()
+        self._solve_engine = BatchEngine()
         #: Working precision of the current factors ("fp64" or "fp32").
         self.precision = "fp64"
         self._work_dtype = self.a.dtype
@@ -148,9 +199,49 @@ class SparseLU:
         # solve() calls share one SolvePlan/DeviceFactorCache, and an
         # unsynchronized pair could interleave one call's cache eviction
         # with the other's upload (or free the cache out from under a
-        # running sweep when budgets differ).  Host-only solves are
-        # read-only and do not take the lock.
+        # running sweep when budgets differ).  Host-only solves take it
+        # only to bring the factors to the host (``_solve_factors``),
+        # then read their own reference lock-free.
         self._solve_lock = threading.RLock()
+
+    @property
+    def factors(self):
+        """The current :class:`MultifrontalFactors` (``None`` when
+        un-factored); device-held fronts download on first read."""
+        return self._hold.factors
+
+    def release(self) -> None:
+        """Free this handle's device memory and drop its factors.
+
+        Device-held fronts are freed without a download and the solve
+        plan and factor cache are dropped, so the handle is un-factored
+        until the next :meth:`factor` (:attr:`factor_report` is kept).
+        Blocks of previously returned factors that were never read can
+        no longer be read; a solve already running keeps working on the
+        factors it started with.  Idempotent.
+        """
+        with self._solve_lock:
+            self._hold.release()
+            self.factor_result = None
+            self._factored = False
+
+    def rebudget(self, device: Device,
+                 memory_budget: int | None) -> None:
+        """Apply a solve ``memory_budget`` on ``device`` now rather than
+        at the next device solve there.
+
+        The factor cache is rebuilt under the new budget: levels of
+        adopted fronts that no longer fit are downloaded and freed, and
+        uploaded levels that no longer fit are freed.  Nothing is
+        uploaded.  A no-op unless the handle holds a device solve state
+        on ``device``.
+        """
+        memory_budget = validate_memory_budget(memory_budget)
+        with self._solve_lock:
+            st = self._hold.solve
+            if st is not None and st[0] is device:
+                self._device_solve_state(device, memory_budget,
+                                         self._solve_engine)
 
     # ------------------------------------------------------------------
     # phase 1
@@ -231,14 +322,11 @@ class SparseLU:
         native = self.a_perm.dtype
         work = _REDUCED_OF[native] if precision == "fp32" else native
         # Invalidate eagerly: a failed re-factorization must not leave a
-        # stale plan/cache (or stale factors) serving solves.  Taken
-        # under the solve lock so a concurrent device solve finishes its
-        # sweep before the cache is freed out from under it.
-        with self._solve_lock:
-            if self._solve_state is not None:
-                self._solve_state[3].free()
-                self._solve_state = None
-        self._factored = False
+        # stale plan/cache (or stale factors) serving solves, and the old
+        # fronts must be gone before the new traversal allocates.  The
+        # release takes the solve lock, so a concurrent device solve
+        # finishes its sweep first.
+        self.release()
         self.factor_report = None
         self.precision = "fp32" if work != native else "fp64"
         self._work_dtype = work
@@ -281,9 +369,13 @@ class SparseLU:
                             a_num: sp.spmatrix, **kw) -> None:
         """Dispatch one backend over the working-precision matrix."""
         if backend == "cpu":
-            self.factors = multifrontal_factor_cpu(a_num, self.symb, **kw)
+            self._hold.factors = multifrontal_factor_cpu(a_num, self.symb,
+                                                         **kw)
             self.factor_result = None
             return
+        if backend in ("sharded", "batched", "looped", "strumpack") \
+                and kw.get("engine", "bucketed") == "bucketed":
+            kw["engine"] = self._factor_engine
         if backend == "sharded":
             from ..device.node import Node
             if not isinstance(device, Node):
@@ -292,7 +384,7 @@ class SparseLU:
                     "(repro.device.Node) as its device")
             res = multifrontal_factor_sharded(device, a_num, self.symb,
                                               **kw)
-            self.factors = res.factors
+            self._hold.factors = res.factors
             self.factor_result = res
             return
         if device is None:
@@ -301,9 +393,17 @@ class SparseLU:
             res = superlu_like_factor(device, a_num, self.symb, **kw)
         else:
             res = multifrontal_factor_gpu(device, a_num, self.symb,
-                                          strategy=backend, **kw)
-        self.factors = res.factors
+                                          strategy=backend, keep_fronts=True,
+                                          **kw)
+        self._hold.factors = res.factors
         self.factor_result = res
+        if any(f.device_front is not None for f in res.factors.fronts):
+            # the solve cache adopts the fronts where the traversal left
+            # them
+            plan = SolvePlan(res.factors, engine=self._solve_engine)
+            with self._solve_lock:
+                self._hold.solve = (device, None, plan, DeviceFactorCache(
+                    device, res.factors, plan))
 
     def _log_precision_fallback(self, device: Device | None, site: str,
                                 detail: str) -> RecoveryLog | None:
@@ -348,12 +448,7 @@ class SparseLU:
         if self._analyzed:
             self.a_pre = a
             self.a_perm = self.a_pre[self.nd.perm][:, self.nd.perm].tocsr()
-        with self._solve_lock:
-            if self._solve_state is not None:
-                self._solve_state[3].free()
-                self._solve_state = None
-        self._factored = False
-        self.factor_result = None
+        self.release()
         self.factor_report = None
         return self
 
@@ -367,32 +462,54 @@ class SparseLU:
 
         The plan depends only on the factors, so one plan serves every
         device/budget; the cache is rebuilt (and its device memory
-        freed) when the device or budget changes.  ``factor()``
-        invalidates both.
+        freed) when the device or budget changes — on the same device
+        the new cache adopts the fronts the old one held, on another
+        device they are downloaded first.  ``factor()`` invalidates
+        both.
         """
-        st = self._solve_state
+        st = self._hold.solve
         if st is not None and st[0] is device and st[1] == memory_budget:
             return st[2], st[3]
         plan = st[2] if st is not None else \
             SolvePlan(self.factors, engine=engine)
         if st is not None:
-            st[3].free()
+            self._hold.solve = None
+            st[3].free(spill=st[0] is not device)
         cache = DeviceFactorCache(device, self.factors, plan,
                                   memory_budget=memory_budget)
-        self._solve_state = (device, memory_budget, plan, cache)
+        self._hold.solve = (device, memory_budget, plan, cache)
         return plan, cache
 
     @property
     def solve_plan(self) -> SolvePlan | None:
-        """The cached :class:`SolvePlan` of the last device solve."""
-        return self._solve_state[2] if self._solve_state else None
+        """The cached :class:`SolvePlan` of the device solve state."""
+        return self._hold.solve[2] if self._hold.solve else None
 
     @property
     def solve_cache(self) -> DeviceFactorCache | None:
-        """The cached :class:`DeviceFactorCache` of the last device solve."""
-        return self._solve_state[3] if self._solve_state else None
+        """The :class:`DeviceFactorCache` of the device solve state: the
+        adopting cache right after a device factorization, else the
+        cache of the last device solve."""
+        return self._hold.solve[3] if self._hold.solve else None
 
-    def _solve_once(self, b: np.ndarray, device: Device | None = None, *,
+    def _solve_factors(self, host_reads: bool) -> MultifrontalFactors:
+        """The factors one solve call works on, taken under the lock.
+
+        A call that reads host blocks (``host_reads``: a host or naive
+        solve) first spills the fronts its cache adopted — download, then
+        free — so a handle solved on the host keeps no device copy.
+        Holding its own reference to host blocks, the call is then safe
+        from a concurrent :meth:`release` (a re-factor starting).
+        """
+        with self._solve_lock:
+            if not self._factored:
+                raise RuntimeError("factor() must run before solve()")
+            if host_reads and self._hold.solve is not None:
+                self._hold.solve[3].free()
+            return self.factors
+
+    def _solve_once(self, factors: MultifrontalFactors, b: np.ndarray,
+                    device: Device | None = None, *,
                     engine="bucketed", rhs_block: int | None = None,
                     plan: SolvePlan | None = None,
                     cache: DeviceFactorCache | None = None,
@@ -413,12 +530,12 @@ class SparseLU:
         if work_dtype is not None:
             cp = cp.astype(work_dtype, copy=False)
         if device is not None:
-            z = multifrontal_solve_gpu(device, self.factors, cp,
+            z = multifrontal_solve_gpu(device, factors, cp,
                                        engine=engine,
                                        plan=plan, cache=cache,
                                        rhs_block=rhs_block).x
         else:
-            z = multifrontal_solve(self.factors, cp)
+            z = multifrontal_solve(factors, cp)
         y = np.empty_like(z)
         y[self.nd.perm] = z
         if self._mc64 is not None:
@@ -561,19 +678,22 @@ class SparseLU:
             raise ValueError(
                 f"refine_steps must be >= 0, got {refine_steps}")
         memory_budget = validate_memory_budget(memory_budget)
-        check_factors_ok(self.factors, "solve")
-        report = getattr(self.factors, "report", None)
-        perturbed = report is not None and report.total_replaced > 0
+        eng = self._solve_engine if engine == "bucketed" \
+            else resolve_engine(engine)
+        host_reads = device is None or eng is None
         b = np.asarray(b)
         check_rhs_shape(b, self.n)
         b = b.astype(np.result_type(self.a.dtype, b.dtype), copy=False)
         # Device solves serialize on the handle (see ``_solve_lock``):
         # the shared plan / factor cache admit one logical solve at a
         # time, so a concurrent solve cannot interleave its cache
-        # eviction with this one's upload.  Host-only solves are
-        # read-only over the factors and run lock-free.
+        # eviction with this one's upload.  Host-only solves read host
+        # blocks of their own ``factors`` and run lock-free.
         with self._solve_lock if device is not None else nullcontext():
-            eng = resolve_engine(engine)
+            factors = self._solve_factors(host_reads)
+            check_factors_ok(factors, "solve")
+            report = getattr(factors, "report", None)
+            perturbed = report is not None and report.total_replaced > 0
             mark = device.recovery_log.mark() if device is not None else 0
             reduced = self.precision == "fp32"
             # The device is dropped for the rest of this call (all
@@ -582,7 +702,8 @@ class SparseLU:
             # last rung.  ``work`` is the dtype the permuted rhs is cast
             # to before each sweep (None = native); plan/cache/report
             # are re-pointed when a precision fallback re-factors.
-            state = {"device": device, "plan": None, "cache": None,
+            state = {"factors": factors, "device": device,
+                     "plan": None, "cache": None,
                      "work": _REDUCED_OF[b.dtype] if reduced else None,
                      "report": report}
             if device is not None and eng is not None:
@@ -593,7 +714,8 @@ class SparseLU:
                 dev = state["device"]
                 if dev is not None:
                     try:
-                        y = self._solve_once(rhs, dev, engine=engine,
+                        y = self._solve_once(state["factors"], rhs, dev,
+                                             engine=engine,
                                              rhs_block=rhs_block,
                                              plan=state["plan"],
                                              cache=state["cache"],
@@ -604,11 +726,13 @@ class SparseLU:
                         dev.recovery_log.record(
                             "host-fallback", site="SparseLU.solve",
                             detail=f"{type(exc).__name__}: {exc}")
-                        y = self._solve_once(rhs, None, engine=engine,
+                        y = self._solve_once(state["factors"], rhs, None,
+                                             engine=engine,
                                              rhs_block=rhs_block,
                                              work_dtype=state["work"])
                 else:
-                    y = self._solve_once(rhs, None, engine=engine,
+                    y = self._solve_once(state["factors"], rhs, None,
+                                         engine=engine,
                                          rhs_block=rhs_block,
                                          work_dtype=state["work"])
                 if not np.all(np.isfinite(y)):
@@ -703,8 +827,9 @@ class SparseLU:
                     backend_f, device_f, kw_f = self._factor_call
                     self.factor(backend=backend_f, device=device_f,
                                 precision="fp64", **kw_f)
-                    check_factors_ok(self.factors, "solve")
-                    report = getattr(self.factors, "report", None)
+                    state["factors"] = self._solve_factors(host_reads)
+                    check_factors_ok(state["factors"], "solve")
+                    report = getattr(state["factors"], "report", None)
                     perturbed = report is not None \
                         and report.total_replaced > 0
                     state["report"] = report

@@ -154,3 +154,69 @@ class TestCacheExclusive:
         t2.join(timeout=5)
         assert order == ["holder-exit", "contender-enter"]
         cache.free()
+
+
+class TestLazyDownloadRace:
+    def test_concurrent_readers_download_each_front_once(self, monkeypatch):
+        # Host solves (lock-free) read the device-held fronts while
+        # budgeted device solves spill them: every front must cross the
+        # bus exactly once and every answer must match the host's.
+        import sys
+        import time
+
+        import repro.device.memory as memory
+        solver = SparseLU(grid2d(30, 30)).analyze()
+        dev = Device(A100())
+        solver.factor(backend="batched", device=dev)
+        budget = solver.solve_cache.resident_nbytes // 3
+        front_bytes = {8 * f.order ** 2 for f in solver.symb.fronts}
+        held = sum(f.device_front is not None for f in solver.factors.fronts)
+        downloads = []
+        d2h = memory._transfer_d2h
+
+        def tap(device, src, **kw):
+            if src.nbytes in front_bytes and src.ndim == 2 \
+                    and src.shape[0] == src.shape[1]:
+                downloads.append(src.nbytes)
+                time.sleep(1e-4)    # widen the check-then-download window
+            return d2h(device, src, **kw)
+
+        monkeypatch.setattr(memory, "_transfer_d2h", tap)
+        b = np.random.default_rng(3).standard_normal(900)
+        errors, results = [], []
+
+        start = threading.Barrier(N_THREADS)
+
+        def worker(tid):
+            try:
+                start.wait(timeout=60)
+                for _ in range(N_SOLVES):
+                    if tid % 2:
+                        x, _ = solver.solve(b)
+                    else:
+                        x, _ = solver.solve(b, device=dev,
+                                            memory_budget=budget)
+                    results.append(x)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(N_THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert len(results) == N_THREADS * N_SOLVES
+        assert len(downloads) == held
+        for x in results:
+            np.testing.assert_allclose(x, results[0], rtol=1e-12,
+                                       atol=1e-14)
+        solver.release()
+        assert dev.allocated_bytes == 0
